@@ -270,11 +270,13 @@ epilogueKernelTable()
 
 /**
  * The table the SIMD microkernel work is judged on: a conv/linear
- * GEMM sweep (linear layers appear as their 1x1-conv GEMM twins)
- * comparing the scalar blocked GEMM against the active ISA's exact
- * kernels — bit-identical by contract, checked per row — and the
- * static Auto heuristic's plan against the measured autotuned winner.
- * The last row is the geomean SIMD speedup across the sweep.
+ * GEMM sweep comparing the scalar blocked GEMM against the active
+ * ISA's exact kernels — bit-identical by contract, checked per row —
+ * and, for convs, the static Auto heuristic's plan against the
+ * measured autotuned winner. The conv rows are followed by
+ * SegFormer-B2 linear and attention shapes run through linear() and
+ * attentionScores()/attentionContext() on the same GEMM driver. The
+ * last row is the geomean SIMD speedup across the sweep.
  */
 void
 gemmSweepTable()
@@ -370,6 +372,54 @@ gemmSweepTable()
                                 isaName(tuned.isa) + ".b" +
                                 std::to_string(tuned.colBlock)
                           : "direct",
+                      exact ? "yes" : "NO"});
+    }
+
+    // The transformer matmuls run on the same GEMM driver (no plan to
+    // tune): SegFormer-B2 shapes at the benchmark's 96x96 input.
+    struct OpCase
+    {
+        const char *name;
+        double flops;
+        std::function<Tensor(const Microkernels &)> run;
+    };
+    Rng rng(19);
+    const Tensor x1 = Tensor::randn({1, 576, 64}, rng);
+    const Tensor w1 = Tensor::randn({256, 64}, rng);
+    const Tensor b1 = Tensor::randn({256}, rng);
+    const Tensor x4 = Tensor::randn({1, 9, 512}, rng);
+    const Tensor w4 = Tensor::randn({2048, 512}, rng);
+    const Tensor b4 = Tensor::randn({2048}, rng);
+    const Tensor kv = Tensor::randn({1, 9, 64}, rng);
+    const Tensor probs = softmax(attentionScores(x1, kv, 1));
+    const OpCase ops[] = {
+        {"B2 stage-1 linear 576x64->256", 2.0 * 576 * 64 * 256,
+         [&](const Microkernels &mk) { return linear(x1, w1, b1, mk); }},
+        {"B2 stage-4 linear 9x512->2048", 2.0 * 9 * 512 * 2048,
+         [&](const Microkernels &mk) { return linear(x4, w4, b4, mk); }},
+        {"B2 stage-1 attn score 576x9 d64", 2.0 * 576 * 9 * 64,
+         [&](const Microkernels &mk) {
+             return attentionScores(x1, kv, 1, mk);
+         }},
+        {"B2 stage-1 attn context 576x64 l9", 2.0 * 576 * 9 * 64,
+         [&](const Microkernels &mk) {
+             return attentionContext(probs, kv, mk);
+         }},
+    };
+    for (const OpCase &oc : ops) {
+        const Microkernels &scalar = kernelsFor(IsaLevel::Scalar);
+        const Microkernels &simd = kernelsFor(detectBestIsa());
+        Tensor a, b;
+        const double scalar_ms = timeMs([&] { return oc.run(scalar); }, &a);
+        const double simd_ms = timeMs([&] { return oc.run(simd); }, &b);
+        const bool exact = std::memcmp(a.data(), b.data(),
+                                       sizeof(float) * a.numel()) == 0;
+        const double speedup = scalar_ms / simd_ms;
+        log_speedup += std::log(speedup);
+        ++rows;
+        table.addRow({oc.name, Table::num(oc.flops / 1e9, 3),
+                      Table::num(scalar_ms, 3), Table::num(simd_ms, 3),
+                      Table::num(speedup, 2), "-", "-", "-", "gemm",
                       exact ? "yes" : "NO"});
     }
     table.addRow({"geomean", "", "", "",

@@ -296,51 +296,10 @@ Executor::execute(const Layer &layer, const std::vector<Tensor *> &ins)
                               quantize(*lw.weight), *lw.bias);
         return linear(*ins.at(0), *lw.weight, *lw.bias);
       }
-      case LayerKind::AttentionScore: {
-        const Tensor &q = *ins.at(0);
-        const Tensor &k = *ins.at(1);
-        const int64_t n = q.dim(0);
-        const int64_t lq = q.dim(1);
-        const int64_t lkv = k.dim(1);
-        const int64_t c = q.dim(2);
-        const int64_t heads = a.numHeads;
-        const int64_t dh = c / heads;
-        const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-        Tensor out({n, heads, lq, lkv});
-        for (int64_t nn = 0; nn < n; ++nn)
-            for (int64_t hh = 0; hh < heads; ++hh)
-                for (int64_t i = 0; i < lq; ++i)
-                    for (int64_t j = 0; j < lkv; ++j) {
-                        float dot = 0.0f;
-                        for (int64_t d = 0; d < dh; ++d)
-                            dot += q.at3(nn, i, hh * dh + d) *
-                                   k.at3(nn, j, hh * dh + d);
-                        out.at4(nn, hh, i, j) = dot * scale;
-                    }
-        return out;
-      }
-      case LayerKind::AttentionContext: {
-        const Tensor &s = *ins.at(0);
-        const Tensor &v = *ins.at(1);
-        const int64_t n = s.dim(0);
-        const int64_t heads = s.dim(1);
-        const int64_t lq = s.dim(2);
-        const int64_t lkv = s.dim(3);
-        const int64_t c = v.dim(2);
-        const int64_t dh = c / heads;
-        Tensor out({n, lq, c});
-        for (int64_t nn = 0; nn < n; ++nn)
-            for (int64_t hh = 0; hh < heads; ++hh)
-                for (int64_t i = 0; i < lq; ++i)
-                    for (int64_t d = 0; d < dh; ++d) {
-                        float acc = 0.0f;
-                        for (int64_t j = 0; j < lkv; ++j)
-                            acc += s.at4(nn, hh, i, j) *
-                                   v.at3(nn, j, hh * dh + d);
-                        out.at3(nn, i, hh * dh + d) = acc;
-                    }
-        return out;
-      }
+      case LayerKind::AttentionScore:
+        return attentionScores(*ins.at(0), *ins.at(1), a.numHeads);
+      case LayerKind::AttentionContext:
+        return attentionContext(*ins.at(0), *ins.at(1));
       case LayerKind::Softmax:
         return softmax(*ins.at(0));
       case LayerKind::LayerNorm: {

@@ -63,6 +63,15 @@ const char *isaName(IsaLevel isa);
 bool parseIsaName(const char *token, IsaLevel *out);
 
 /**
+ * Signature shared by the GEMM tile flavors: an (kb, jb) block of
+ * out = w x col + bias with leading dimensions ldw/ldc/ldo.
+ */
+using GemmTileFn = void (*)(const float *w, int64_t ldw, const float *col,
+                            int64_t ldc, const float *bias, float *out,
+                            int64_t ldo, int64_t kb, int64_t jb,
+                            int64_t len);
+
+/**
  * One ISA's microkernel set. All pointers are always non-null: an ISA
  * that is compiled out or unsupported on this CPU falls back to the
  * scalar implementation per entry.
@@ -80,19 +89,14 @@ struct Microkernels
      * product and the sum rounded separately — memcmp-identical to
      * the scalar reference for any (kb, jb) blocking.
      */
-    void (*gemmTileExact)(const float *w, int64_t ldw, const float *col,
-                          int64_t ldc, const float *bias, float *out,
-                          int64_t ldo, int64_t kb, int64_t jb,
-                          int64_t len);
+    GemmTileFn gemmTileExact;
 
     /**
      * Same tile and accumulation order, but each step is a fused
      * multiply-add (single rounding). ULP-bounded deviation from the
      * exact flavor (see file comment); only used by opt-in plans.
      */
-    void (*gemmTileFma)(const float *w, int64_t ldw, const float *col,
-                        int64_t ldc, const float *bias, float *out,
-                        int64_t ldo, int64_t kb, int64_t jb, int64_t len);
+    GemmTileFn gemmTileFma;
 
     /**
      * y[j] += a * x[j] for j in [0, n) — mul then add, separately

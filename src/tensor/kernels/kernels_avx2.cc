@@ -21,6 +21,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/kernels/kernels.hh"
@@ -30,6 +31,59 @@ namespace vitdyn
 
 namespace
 {
+
+/**
+ * R rows x 8 columns of the exact tile. With Masked, only the lanes
+ * set in @p mask are loaded and stored (masked-out lanes never touch
+ * memory). Each live lane performs the scalar mul-then-add sequence
+ * over ascending l.
+ */
+template <int R, bool Masked>
+inline void
+exactRows8(const float *w, int64_t ldw, const float *col, int64_t ldc,
+           const float *bias, float *out, int64_t ldo, int64_t len,
+           __m256i mask)
+{
+    __m256 acc[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        acc[r] = _mm256_set1_ps(bias ? bias[r] : 0.0f);
+    for (int64_t l = 0; l < len; ++l) {
+        const float *crow = col + l * ldc;
+        const __m256 c = Masked ? _mm256_maskload_ps(crow, mask)
+                                : _mm256_loadu_ps(crow);
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r)
+            acc[r] = _mm256_add_ps(
+                acc[r], _mm256_mul_ps(_mm256_set1_ps(w[r * ldw + l]), c));
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+        if (Masked)
+            _mm256_maskstore_ps(out + r * ldo, mask, acc[r]);
+        else
+            _mm256_storeu_ps(out + r * ldo, acc[r]);
+    }
+}
+
+/** exactRows8 over 1-8 columns: a partial block runs masked, so
+ *  narrow blocks and 1-7 column tails stay vectorized. */
+template <int R>
+inline void
+exactRows(const float *w, int64_t ldw, const float *col, int64_t ldc,
+          const float *bias, float *out, int64_t ldo, int64_t len,
+          int64_t cols)
+{
+    if (cols == 8) {
+        exactRows8<R, false>(w, ldw, col, ldc, bias, out, ldo, len,
+                             __m256i{});
+        return;
+    }
+    const __m256i mask =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    exactRows8<R, true>(w, ldw, col, ldc, bias, out, ldo, len, mask);
+}
 
 void
 gemmTileExactAvx2(const float *w, int64_t ldw, const float *col,
@@ -97,27 +151,20 @@ gemmTileExactAvx2(const float *w, int64_t ldw, const float *col,
             _mm256_storeu_ps(out + i * ldo + j + 8, ah);
         }
     }
-    for (; j + 8 <= jb; j += 8) {
-        for (int64_t i = 0; i < kb; ++i) {
-            __m256 acc = _mm256_set1_ps(bias ? bias[i] : 0.0f);
-            const float *wr = w + i * ldw;
-            for (int64_t l = 0; l < len; ++l) {
-                const __m256 v = _mm256_set1_ps(wr[l]);
-                acc = _mm256_add_ps(
-                    acc,
-                    _mm256_mul_ps(v, _mm256_loadu_ps(col + l * ldc + j)));
-            }
-            _mm256_storeu_ps(out + i * ldo + j, acc);
-        }
-    }
-    for (; j < jb; ++j) {
-        for (int64_t i = 0; i < kb; ++i) {
-            float acc = bias ? bias[i] : 0.0f;
-            const float *wr = w + i * ldw;
-            for (int64_t l = 0; l < len; ++l)
-                acc += wr[l] * col[l * ldc + j];
-            out[i * ldo + j] = acc;
-        }
+    // Narrow blocks (few tokens, few keys): 8 columns, or a masked
+    // tail of 1-7, by 4 rows, so four independent accumulation chains
+    // are in flight instead of one.
+    for (; j < jb; j += 8) {
+        const int64_t cols = std::min<int64_t>(8, jb - j);
+        int64_t i = 0;
+        for (; i + 4 <= kb; i += 4)
+            exactRows<4>(w + i * ldw, ldw, col + j, ldc,
+                         bias ? bias + i : nullptr, out + i * ldo + j, ldo,
+                         len, cols);
+        for (; i < kb; ++i)
+            exactRows<1>(w + i * ldw, ldw, col + j, ldc,
+                         bias ? bias + i : nullptr, out + i * ldo + j, ldo,
+                         len, cols);
     }
 }
 

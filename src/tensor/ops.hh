@@ -148,8 +148,41 @@ Conv2dPlan conv2dAutoPlan(const Shape &input_shape,
  * @param input  (..., in_features)
  * @param weight (out_features, in_features)
  * @param bias   (out_features) or empty.
+ *
+ * Runs on the shared GEMM driver (tensor/gemm.hh) as
+ * Y^T = W X^T + b, memcmp-identical to the scalar loop
+ * y[r][o] = b[o] + sum over ascending i of x[r][i] * W[o][i].
  */
 Tensor linear(const Tensor &input, const Tensor &weight, const Tensor &bias);
+
+/** linear() on an explicit microkernel set (parity tests, benches). */
+Tensor linear(const Tensor &input, const Tensor &weight, const Tensor &bias,
+              const Microkernels &mk);
+
+/**
+ * Per-head scaled attention scores: q (N, Lq, C), k (N, Lkv, C) ->
+ * (N, H, Lq, Lkv) with out[n][h][i][j] = (q_h[i] . k_h[j]) * scale,
+ * scale = 1/sqrt(C/H). Each dot starts at zero and accumulates over
+ * ascending head channel before the scale multiply, so the shared GEMM
+ * driver reproduces the scalar loop bit-for-bit.
+ */
+Tensor attentionScores(const Tensor &q, const Tensor &k, int64_t num_heads);
+
+/** attentionScores() on an explicit microkernel set. */
+Tensor attentionScores(const Tensor &q, const Tensor &k, int64_t num_heads,
+                       const Microkernels &mk);
+
+/**
+ * Per-head attention context: scores (N, H, Lq, Lkv) (already
+ * softmaxed) x v (N, Lkv, C) -> (N, Lq, C), head h writing channels
+ * [h*C/H, (h+1)*C/H). Each element starts at zero and accumulates over
+ * ascending j, exactly the scalar loop.
+ */
+Tensor attentionContext(const Tensor &scores, const Tensor &v);
+
+/** attentionContext() on an explicit microkernel set. */
+Tensor attentionContext(const Tensor &scores, const Tensor &v,
+                        const Microkernels &mk);
 
 /** Matrix product of rank-2 tensors: (m, k) x (k, n) -> (m, n). */
 Tensor matmul(const Tensor &a, const Tensor &b);

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "obs/metrics.hh"
+#include "tensor/gemm.hh"
 #include "tensor/kernels/kernels.hh"
 #include "util/logging.hh"
 #include "util/threadpool.hh"
@@ -164,26 +165,14 @@ conv2dIm2col(const Tensor &input, const Tensor &weight, const Tensor &bias,
             col = ws.col.data();
         }
 
-        // out_n(K, PQ) = W(K, len) x col(len, PQ) + bias, through the
-        // plan's GEMM tile microkernel. Column blocks keep `col` rows
-        // hot across the K loop; every tile accumulates each output
-        // element over ascending l, so shard boundaries and tile
-        // sizes never change the per-element arithmetic order.
+        // out_n(K, PQ) = W(K, len) x col(len, PQ) + bias through the
+        // shared GEMM driver and the plan's tile microkernel.
         const Microkernels &mk = kernelsFor(plan.isa);
-        const auto gemm = plan.fma ? mk.gemmTileFma : mk.gemmTileExact;
-        const int64_t col_block =
-            std::clamp<int64_t>(plan.colBlock, 1, kMaxGemmTileCols);
-        const float *bp = bias.numel() ? bias.data() : nullptr;
-        float *on = out.data() + nn * k * pq;
-        parallelFor(0, k, grainForFlops(2 * len * pq),
-                    [&](int64_t k0, int64_t k1) {
-            for (int64_t j0 = 0; j0 < pq; j0 += col_block) {
-                const int64_t jb = std::min(col_block, pq - j0);
-                gemm(wp + k0 * len, len, col + j0, pq,
-                     bp ? bp + k0 : nullptr, on + k0 * pq + j0, pq,
-                     k1 - k0, jb, len);
-            }
-        });
+        gemm(plan.fma ? mk.gemmTileFma : mk.gemmTileExact,
+             {k, pq, len, len, pq, pq},
+             {wp, col, bias.numel() ? bias.data() : nullptr,
+              out.data() + nn * k * pq},
+             plan.colBlock);
     }
 }
 

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
+#include "tensor/gemm.hh"
 #include "tensor/kernels/kernels.hh"
 #include "util/logging.hh"
 #include "util/threadpool.hh"
@@ -15,6 +16,13 @@ namespace vitdyn
 
 Tensor
 linear(const Tensor &input, const Tensor &weight, const Tensor &bias)
+{
+    return linear(input, weight, bias, activeKernels());
+}
+
+Tensor
+linear(const Tensor &input, const Tensor &weight, const Tensor &bias,
+       const Microkernels &mk)
 {
     vitdyn_assert(weight.rank() == 2, "linear weight must be rank 2");
     const int64_t in_f = weight.dim(1);
@@ -30,58 +38,124 @@ linear(const Tensor &input, const Tensor &weight, const Tensor &bias)
     out_shape.back() = out_f;
     Tensor out(out_shape);
 
+    // Y^T(out_f, rows) = W(out_f, in_f) x X^T(in_f, rows) + b: the bias
+    // is per W row, and element (o, r) starts at b[o] and accumulates
+    // x[r][i] * W[o][i] over ascending i, the scalar dot loop's exact
+    // arithmetic. W is read in place; X^T is built up front and each
+    // finished Y^T block is transposed into Y while still in cache.
+    std::unique_ptr<float[]> xt(new float[in_f * rows]);
+    std::unique_ptr<float[]> yt(new float[out_f * rows]);
     const float *x = input.data();
-    const float *wt = weight.data();
+    parallelFor(0, rows, grainForFlops(in_f), [&](int64_t r0, int64_t r1) {
+        transposeBlock(x + r0 * in_f, in_f, r1 - r0, in_f, xt.get() + r0,
+                       rows);
+    });
     float *y = out.data();
+    gemm(mk.gemmTileExact, {out_f, rows, in_f, in_f, rows, rows},
+         {weight.data(), xt.get(), bias.numel() ? bias.data() : nullptr,
+          yt.get()},
+         kDefaultGemmColBlock,
+         [&](int64_t, int64_t o0, int64_t o1, int64_t r0, int64_t r1) {
+        transposeBlock(yt.get() + o0 * rows + r0, rows, o1 - o0, r1 - r0,
+                       y + r0 * out_f + o0, out_f);
+    });
+    return out;
+}
 
-    const Microkernels &mk = activeKernels();
+Tensor
+attentionScores(const Tensor &q, const Tensor &k, int64_t num_heads)
+{
+    return attentionScores(q, k, num_heads, activeKernels());
+}
 
-    // Vectorized path: pack W^T once per call so each output row is a
-    // sequence of rank-1 axpy updates over ascending i — per element
-    // (r, o) that is y = bias[o], then += x[i] * W[o][i] for i
-    // ascending, the exact accumulation order of the scalar dot loop
-    // below, just vectorized across independent o lanes. Not worth
-    // the (in_f x out_f) transpose for a token or two.
-    if (mk.isa != IsaLevel::Scalar && rows >= 4 && out_f >= 8) {
-        thread_local std::vector<float> wpack;
-        wpack.resize(static_cast<size_t>(in_f * out_f));
-        float *wp = wpack.data();
-        parallelFor(0, in_f, grainForFlops(out_f),
-                    [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i)
-                for (int64_t o = 0; o < out_f; ++o)
-                    wp[i * out_f + o] = wt[o * in_f + i];
-        });
-        const float *bp = bias.numel() ? bias.data() : nullptr;
-        parallelFor(0, rows, grainForFlops(2 * out_f * in_f),
-                    [&](int64_t r0, int64_t r1) {
-            for (int64_t r = r0; r < r1; ++r) {
-                const float *xr = x + r * in_f;
-                float *yr = y + r * out_f;
-                if (bp)
-                    std::memcpy(yr, bp, sizeof(float) * out_f);
-                else
-                    std::fill(yr, yr + out_f, 0.0f);
-                for (int64_t i = 0; i < in_f; ++i)
-                    mk.axpyF32(xr[i], wp + i * out_f, yr, out_f);
-            }
-        });
-        return out;
-    }
+Tensor
+attentionScores(const Tensor &q, const Tensor &k, int64_t num_heads,
+                const Microkernels &mk)
+{
+    vitdyn_assert(q.rank() == 3 && k.rank() == 3,
+                  "attentionScores inputs must be (N, L, C)");
+    const int64_t n = q.dim(0);
+    const int64_t lq = q.dim(1);
+    const int64_t c = q.dim(2);
+    const int64_t lkv = k.dim(1);
+    vitdyn_assert(k.dim(0) == n && k.dim(2) == c,
+                  "attentionScores Q/K shape mismatch");
+    vitdyn_assert(num_heads > 0 && c % num_heads == 0,
+                  "embedding dim ", c, " not divisible by heads ",
+                  num_heads);
+    const int64_t dh = c / num_heads;
+    const int64_t nh = n * num_heads;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
 
-    parallelFor(0, rows, grainForFlops(2 * out_f * in_f),
-                [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-            const float *xr = x + r * in_f;
-            float *yr = y + r * out_f;
-            for (int64_t o = 0; o < out_f; ++o) {
-                const float *wr = wt + o * in_f;
-                float acc = bias.numel() ? bias[o] : 0.0f;
-                for (int64_t i = 0; i < in_f; ++i)
-                    acc += xr[i] * wr[i];
-                yr[o] = acc;
-            }
+    // K_h^T(dh, lkv) packed per (n, head), so each head is one
+    // Q_h(lq, dh) x K_h^T GEMM with a zero start.
+    std::unique_ptr<float[]> kt(new float[nh * dh * lkv]);
+    parallelFor(0, nh, grainForFlops(dh * lkv),
+                [&](int64_t b0, int64_t b1) {
+        for (int64_t b = b0; b < b1; ++b) {
+            const int64_t nn = b / num_heads;
+            const int64_t c0 = (b % num_heads) * dh;
+            transposeBlock(k.data() + nn * lkv * c + c0, c, lkv, dh,
+                           kt.get() + b * dh * lkv, lkv);
         }
+    });
+
+    Tensor out({n, num_heads, lq, lkv});
+    float *o = out.data();
+    gemmBatched(
+        mk.gemmTileExact, {lq, lkv, dh, c, lkv, lkv}, nh,
+        [&](int64_t b) {
+            const int64_t nn = b / num_heads;
+            const int64_t c0 = (b % num_heads) * dh;
+            return GemmOperands{q.data() + nn * lq * c + c0,
+                                kt.get() + b * dh * lkv, nullptr,
+                                o + b * lq * lkv};
+        },
+        kDefaultGemmColBlock,
+        [&](int64_t b, int64_t i0, int64_t i1, int64_t j0, int64_t j1) {
+            for (int64_t i = i0; i < i1; ++i) {
+                float *row = o + (b * lq + i) * lkv;
+                for (int64_t j = j0; j < j1; ++j)
+                    row[j] = row[j] * scale;
+            }
+        });
+    return out;
+}
+
+Tensor
+attentionContext(const Tensor &scores, const Tensor &v)
+{
+    return attentionContext(scores, v, activeKernels());
+}
+
+Tensor
+attentionContext(const Tensor &scores, const Tensor &v,
+                 const Microkernels &mk)
+{
+    vitdyn_assert(scores.rank() == 4 && v.rank() == 3,
+                  "attentionContext needs (N, H, Lq, Lkv) scores and "
+                  "(N, Lkv, C) values");
+    const int64_t n = scores.dim(0);
+    const int64_t heads = scores.dim(1);
+    const int64_t lq = scores.dim(2);
+    const int64_t lkv = scores.dim(3);
+    const int64_t c = v.dim(2);
+    vitdyn_assert(v.dim(0) == n && v.dim(1) == lkv,
+                  "attentionContext scores/values shape mismatch");
+    vitdyn_assert(heads > 0 && c % heads == 0, "embedding dim ", c,
+                  " not divisible by heads ", heads);
+    const int64_t dh = c / heads;
+
+    // out_h(lq, dh) = S_h(lq, lkv) x V_h(lkv, dh), with V's head slice
+    // and the output's read and written in place (row stride C).
+    Tensor out({n, lq, c});
+    gemmBatched(mk.gemmTileExact, {lq, dh, lkv, lkv, c, c}, n * heads,
+                [&](int64_t b) {
+        const int64_t nn = b / heads;
+        const int64_t c0 = (b % heads) * dh;
+        return GemmOperands{scores.data() + b * lq * lkv,
+                            v.data() + nn * lkv * c + c0, nullptr,
+                            out.data() + nn * lq * c + c0};
     });
     return out;
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "engine/engine.hh"
 #include "engine/trace.hh"
@@ -325,6 +326,50 @@ TEST(ExecutorHealth, MutateWeightsTargetsNamedLayer)
     }));
     Tensor corrupted = exec.runSimple(input);
     EXPECT_FALSE(clean.allClose(corrupted, 1e-6f));
+}
+
+TEST(ExecutorHealth, LinearWeightFaultShowsOnTheNextFrame)
+{
+    // A persistent fault in a Linear weight must reach the very next
+    // frame: no cached copy of the weight may outlive the mutation.
+    constexpr int64_t in_f = 13, out_f = 11, hit_o = 3, hit_i = 4;
+    Graph g("linear_fault");
+    int in = g.addInput("x", {2, 9, in_f});
+    Layer fc;
+    fc.name = "fc_a";
+    fc.kind = LayerKind::Linear;
+    fc.attrs.inFeatures = in_f;
+    fc.attrs.outFeatures = out_f;
+    fc.inputs = {in};
+    g.markOutput(g.addLayer(std::move(fc)));
+
+    Executor exec(g, 1);
+    Rng rng(5);
+    Tensor x = Tensor::randn({2, 9, in_f}, rng);
+    Tensor clean = exec.runSimple(x);
+    ASSERT_TRUE(exec.mutateWeights("fc_a", [](Tensor &w) {
+        w[hit_o * in_f + hit_i] = 1000.0f;
+    }));
+    Tensor faulty = exec.runSimple(x);
+
+    // Exactly output feature hit_o reads the damaged weight: it moves
+    // in every row, and every other feature keeps its bits.
+    ASSERT_EQ(faulty.shape(), clean.shape());
+    for (int64_t r = 0; r < 2 * 9; ++r)
+        for (int64_t o = 0; o < out_f; ++o) {
+            const float a = clean[r * out_f + o];
+            const float b = faulty[r * out_f + o];
+            if (o == hit_o)
+                EXPECT_NE(a, b) << "row " << r;
+            else
+                EXPECT_EQ(std::memcmp(&a, &b, sizeof(float)), 0)
+                    << "row " << r << " feature " << o;
+        }
+    // The fault persists: a second frame repeats the faulty output.
+    Tensor again = exec.runSimple(x);
+    EXPECT_EQ(std::memcmp(again.data(), faulty.data(),
+                          sizeof(float) * faulty.numel()),
+              0);
 }
 
 // --- Engine quarantine / fallback / recovery ----------------------

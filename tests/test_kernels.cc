@@ -396,8 +396,7 @@ TEST_P(OpParityTest, LinearBitIdenticalToScalarContract)
 {
     PoolSizeGuard guard(GetParam());
     Rng rng(47);
-    // rows >= 4 and out_f >= 8 so the packed-axpy path engages on
-    // SIMD ISAs.
+    // A batched (N, L, C) input on the shared GEMM driver.
     Tensor x = Tensor::randn({3, 5, 24}, rng);
     Tensor w = Tensor::randn({17, 24}, rng);
     Tensor b = Tensor::randn({17}, rng);

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "tensor/ops.hh"
 #include "util/random.hh"
+#include "util/threadpool.hh"
 
 namespace vitdyn
 {
@@ -163,6 +167,293 @@ TEST(Attention, HeadDivisibilityPanics)
     Tensor q({1, 2, 6});
     EXPECT_DEATH(attention(q, q, q, 4), "divisible");
 }
+
+// ---------------------------------------------------------------------
+// GEMM-driver parity: linear, attentionScores and attentionContext run
+// on the shared blocked GEMM and must be memcmp-identical to the scalar
+// loops they replaced (copied below as oracles) for every available
+// ISA, at 1 and 4 pool threads, including the shapes that used to take
+// a separate scalar path and inputs holding -0.0, NaN and +-Inf.
+// ---------------------------------------------------------------------
+
+/** The seed linear loop: y[r][o] = b[o] + sum_i x[r][i] * W[o][i]. */
+Tensor
+linearOracle(const Tensor &x, const Tensor &w, const Tensor &b)
+{
+    const int64_t in_f = w.dim(1);
+    const int64_t out_f = w.dim(0);
+    const int64_t rows = x.numel() / in_f;
+    Shape shape = x.shape();
+    shape.back() = out_f;
+    Tensor y(shape);
+    for (int64_t r = 0; r < rows; ++r)
+        for (int64_t o = 0; o < out_f; ++o) {
+            float acc = b.numel() ? b[o] : 0.0f;
+            for (int64_t i = 0; i < in_f; ++i)
+                acc += x[r * in_f + i] * w[o * in_f + i];
+            y[r * out_f + o] = acc;
+        }
+    return y;
+}
+
+/** The seed executor AttentionScore loop. */
+Tensor
+scoresOracle(const Tensor &q, const Tensor &k, int64_t heads)
+{
+    const int64_t n = q.dim(0);
+    const int64_t lq = q.dim(1);
+    const int64_t lkv = k.dim(1);
+    const int64_t dh = q.dim(2) / heads;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    Tensor out({n, heads, lq, lkv});
+    for (int64_t nn = 0; nn < n; ++nn)
+        for (int64_t hh = 0; hh < heads; ++hh)
+            for (int64_t i = 0; i < lq; ++i)
+                for (int64_t j = 0; j < lkv; ++j) {
+                    float dot = 0.0f;
+                    for (int64_t d = 0; d < dh; ++d)
+                        dot += q.at3(nn, i, hh * dh + d) *
+                               k.at3(nn, j, hh * dh + d);
+                    out.at4(nn, hh, i, j) = dot * scale;
+                }
+    return out;
+}
+
+/** The seed executor AttentionContext loop. */
+Tensor
+contextOracle(const Tensor &s, const Tensor &v)
+{
+    const int64_t n = s.dim(0);
+    const int64_t heads = s.dim(1);
+    const int64_t lq = s.dim(2);
+    const int64_t lkv = s.dim(3);
+    const int64_t c = v.dim(2);
+    const int64_t dh = c / heads;
+    Tensor out({n, lq, c});
+    for (int64_t nn = 0; nn < n; ++nn)
+        for (int64_t hh = 0; hh < heads; ++hh)
+            for (int64_t i = 0; i < lq; ++i)
+                for (int64_t d = 0; d < dh; ++d) {
+                    float acc = 0.0f;
+                    for (int64_t j = 0; j < lkv; ++j)
+                        acc += s.at4(nn, hh, i, j) *
+                               v.at3(nn, j, hh * dh + d);
+                    out.at3(nn, i, hh * dh + d) = acc;
+                }
+    return out;
+}
+
+std::vector<IsaLevel>
+availableIsas()
+{
+    std::vector<IsaLevel> isas;
+    for (IsaLevel isa : {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Neon})
+        if (isaAvailable(isa))
+            isas.push_back(isa);
+    return isas;
+}
+
+/**
+ * memcmp equality, element by element. With @p nan_bits false, two NaNs
+ * count as equal whatever their bits: which NaN operand an add returns
+ * is the compiler's choice of operand order (the add commutes), so NaN
+ * payloads and signs are only reproducible while a single NaN encoding
+ * is in play.
+ */
+::testing::AssertionResult
+bitIdentical(const Tensor &want, const Tensor &got, bool nan_bits = true)
+{
+    if (want.shape() != got.shape())
+        return ::testing::AssertionFailure()
+               << "shape " << shapeToString(got.shape()) << " != "
+               << shapeToString(want.shape());
+    for (int64_t i = 0; i < want.numel(); ++i) {
+        if (!nan_bits && std::isnan(want[i]) && std::isnan(got[i]))
+            continue;
+        if (std::memcmp(&want.data()[i], &got.data()[i], sizeof(float)))
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": got " << got[i] << ", want "
+                   << want[i];
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * The NaN the FPU itself produces for an invalid operation. Inputs
+ * carrying exactly this encoding leave one NaN bit pattern in the whole
+ * computation (Inf - Inf and Inf * 0 make the same one), so outputs must
+ * match to the bit.
+ */
+float
+generatedNaN()
+{
+    volatile float inf = std::numeric_limits<float>::infinity();
+    return inf - inf;
+}
+
+/** Sprinkle -0.0, @p nan and +-Inf through @p t at a fixed stride. */
+void
+addSpecials(Tensor &t, float nan)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {-0.0f, nan, inf, -inf};
+    for (int64_t i = 0, s = 0; i < t.numel(); i += 7, ++s)
+        t[i] = specials[s % 4];
+}
+
+/** Both NaN flavors: {the generated encoding, bits compared} and {a
+ *  different quiet NaN, NaN positions compared}. */
+struct NanFlavor
+{
+    float nan;
+    bool nanBits;
+};
+
+std::vector<NanFlavor>
+nanFlavors()
+{
+    return {{generatedNaN(), true}, {std::nanf("7"), false}};
+}
+
+class GemmParityTest : public ::testing::TestWithParam<int>
+{
+  protected:
+    void SetUp() override { ThreadPool::instance().resize(GetParam()); }
+    void TearDown() override { ThreadPool::instance().resize(0); }
+};
+
+TEST_P(GemmParityTest, LinearMatchesScalarLoop)
+{
+    struct Case
+    {
+        Shape x;
+        int64_t out_f;
+        bool bias;
+    };
+    // Rows 1-3 and out_f < 8 (the old scalar fork), in_f off every
+    // vector width, batched (N, L, C) rows, an empty bias, and a
+    // shape wide enough for full 4x16 tiles and several column blocks.
+    const Case cases[] = {
+        {{1, 13}, 5, true},       {{2, 13}, 7, true},
+        {{3, 37}, 3, false},      {{1, 1, 64}, 8, true},
+        {{4, 9}, 17, true},       {{2, 7, 13}, 19, false},
+        {{3, 5, 24}, 17, true},   {{300, 33}, 21, true},
+        {{9, 67}, 130, true},
+    };
+    Rng rng(71);
+    for (const Case &tc : cases) {
+        const int64_t in_f = tc.x.back();
+        Tensor x = Tensor::randn(tc.x, rng);
+        Tensor w = Tensor::randn({tc.out_f, in_f}, rng);
+        Tensor b = tc.bias ? Tensor::randn({tc.out_f}, rng) : Tensor{};
+        const Tensor want = linearOracle(x, w, b);
+        for (IsaLevel isa : availableIsas())
+            EXPECT_TRUE(bitIdentical(want, linear(x, w, b, kernelsFor(isa))))
+                << "x " << shapeToString(tc.x) << " out_f " << tc.out_f
+                << " isa " << isaName(isa);
+        EXPECT_TRUE(bitIdentical(want, linear(x, w, b)));
+    }
+}
+
+TEST_P(GemmParityTest, LinearSpecialValuesMatchScalarLoop)
+{
+    Rng rng(73);
+    for (const NanFlavor &f : nanFlavors())
+        for (const Shape &xs : {Shape{1, 11}, Shape{3, 11}, Shape{2, 6, 11},
+                                Shape{40, 11}}) {
+            Tensor x = Tensor::randn(xs, rng);
+            Tensor w = Tensor::randn({9, 11}, rng);
+            Tensor b = Tensor::randn({9}, rng);
+            addSpecials(x, f.nan);
+            w[5] = -0.0f;
+            b[2] = -0.0f;
+            const Tensor want = linearOracle(x, w, b);
+            for (IsaLevel isa : availableIsas())
+                EXPECT_TRUE(bitIdentical(
+                    want, linear(x, w, b, kernelsFor(isa)), f.nanBits))
+                    << "x " << shapeToString(xs) << " isa " << isaName(isa)
+                    << " nan bits " << f.nanBits;
+        }
+}
+
+struct AttnCase
+{
+    int64_t n, lq, lkv, c, heads;
+};
+
+// dh = c / heads and lkv off every vector width, lkv = 1, several
+// heads, batch n > 1, and one head wide enough for full GEMM tiles.
+const AttnCase kAttnCases[] = {
+    {1, 5, 1, 8, 2},   {1, 9, 3, 15, 3},  {2, 7, 9, 10, 2},
+    {2, 17, 13, 12, 4}, {1, 40, 9, 64, 1}, {1, 6, 37, 20, 5},
+};
+
+TEST_P(GemmParityTest, AttentionScoresMatchScalarLoop)
+{
+    Rng rng(79);
+    for (const AttnCase &tc : kAttnCases) {
+        Tensor q = Tensor::randn({tc.n, tc.lq, tc.c}, rng);
+        Tensor k = Tensor::randn({tc.n, tc.lkv, tc.c}, rng);
+        const Tensor want = scoresOracle(q, k, tc.heads);
+        for (IsaLevel isa : availableIsas())
+            EXPECT_TRUE(bitIdentical(
+                want, attentionScores(q, k, tc.heads, kernelsFor(isa))))
+                << "lq " << tc.lq << " lkv " << tc.lkv << " c " << tc.c
+                << " heads " << tc.heads << " isa " << isaName(isa);
+        EXPECT_TRUE(bitIdentical(want, attentionScores(q, k, tc.heads)));
+
+        for (const NanFlavor &f : nanFlavors()) {
+            Tensor qs = q;
+            addSpecials(qs, f.nan);
+            k[1] = -0.0f;
+            const Tensor want_sp = scoresOracle(qs, k, tc.heads);
+            for (IsaLevel isa : availableIsas())
+                EXPECT_TRUE(bitIdentical(
+                    want_sp,
+                    attentionScores(qs, k, tc.heads, kernelsFor(isa)),
+                    f.nanBits))
+                    << "specials, lq " << tc.lq << " isa " << isaName(isa)
+                    << " nan bits " << f.nanBits;
+        }
+    }
+}
+
+TEST_P(GemmParityTest, AttentionContextMatchesScalarLoop)
+{
+    Rng rng(83);
+    for (const AttnCase &tc : kAttnCases) {
+        Tensor s = Tensor::randn({tc.n, tc.heads, tc.lq, tc.lkv}, rng);
+        Tensor v = Tensor::randn({tc.n, tc.lkv, tc.c}, rng);
+        const Tensor want = contextOracle(s, v);
+        for (IsaLevel isa : availableIsas())
+            EXPECT_TRUE(
+                bitIdentical(want, attentionContext(s, v, kernelsFor(isa))))
+                << "lq " << tc.lq << " lkv " << tc.lkv << " c " << tc.c
+                << " heads " << tc.heads << " isa " << isaName(isa);
+        EXPECT_TRUE(bitIdentical(want, attentionContext(s, v)));
+
+        for (const NanFlavor &f : nanFlavors()) {
+            Tensor vs = v;
+            addSpecials(vs, f.nan);
+            s[2] = -0.0f;
+            const Tensor want_sp = contextOracle(s, vs);
+            for (IsaLevel isa : availableIsas())
+                EXPECT_TRUE(bitIdentical(
+                    want_sp, attentionContext(s, vs, kernelsFor(isa)),
+                    f.nanBits))
+                    << "specials, lq " << tc.lq << " isa " << isaName(isa)
+                    << " nan bits " << f.nanBits;
+        }
+    }
+}
+
+TEST(GemmOps, AttentionScoresHeadDivisibilityPanics)
+{
+    Tensor q({1, 2, 6});
+    EXPECT_DEATH(attentionScores(q, q, 4), "divisible");
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, GemmParityTest, ::testing::Values(1, 4));
 
 } // namespace
 } // namespace vitdyn

@@ -457,12 +457,14 @@ BM_Conv2d3x3(benchmark::State &state)
 }
 BENCHMARK(BM_Conv2d3x3)->Arg(16)->Arg(64);
 
+/** Args: channels, spatial side (256, 24: B2 stage-1 Mix-FFN at 96²). */
 void
 BM_Conv2dDepthwise(benchmark::State &state)
 {
     Rng rng(2);
-    const int64_t c = 128;
-    Tensor x = Tensor::randn({1, c, 32, 32}, rng);
+    const int64_t c = state.range(0);
+    const int64_t side = state.range(1);
+    Tensor x = Tensor::randn({1, c, side, side}, rng);
     Tensor w = Tensor::randn({c, 1, 3, 3}, rng);
     Conv2dParams p;
     p.padH = p.padW = 1;
@@ -470,7 +472,7 @@ BM_Conv2dDepthwise(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(conv2d(x, w, Tensor{}, p).numel());
 }
-BENCHMARK(BM_Conv2dDepthwise);
+BENCHMARK(BM_Conv2dDepthwise)->Args({128, 32})->Args({256, 24});
 
 void
 BM_Conv2dInt8(benchmark::State &state)
@@ -534,16 +536,71 @@ BM_LayerNorm(benchmark::State &state)
 }
 BENCHMARK(BM_LayerNorm);
 
+/** Args: channels, input side, output side (150, 24, 96: B2's
+ *  FinalUpsample at 96²). */
 void
 BM_Interpolate(benchmark::State &state)
 {
     Rng rng(8);
-    Tensor x = Tensor::randn({1, 32, 32, 32}, rng);
+    const int64_t c = state.range(0);
+    const int64_t in = state.range(1);
+    const int64_t out = state.range(2);
+    Tensor x = Tensor::randn({1, c, in, in}, rng);
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            interpolateBilinear(x, 128, 128).numel());
+        benchmark::DoNotOptimize(interpolateBilinear(x, out, out).numel());
 }
-BENCHMARK(BM_Interpolate);
+BENCHMARK(BM_Interpolate)->Args({32, 32, 128})->Args({150, 24, 96});
+
+/** B2 stage-1 Mix-FFN hidden activation: 576 tokens x 256 channels. */
+void
+BM_Gelu(benchmark::State &state)
+{
+    Rng rng(10);
+    Tensor x = Tensor::randn({1, 576, 256}, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gelu(x).numel());
+    state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_Gelu);
+
+/** B2 stage-1 layout change: 576 tokens (24²) x 256 channels. */
+void
+BM_TokensToNchw(benchmark::State &state)
+{
+    Rng rng(11);
+    Tensor x = Tensor::randn({1, 576, 256}, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(tokensToNchw(x, 24, 24).numel());
+    state.SetBytesProcessed(state.iterations() * 2 * 4 * x.numel());
+}
+BENCHMARK(BM_TokensToNchw);
+
+void
+BM_NchwToTokens(benchmark::State &state)
+{
+    Rng rng(12);
+    Tensor x = Tensor::randn({1, 256, 24, 24}, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(nchwToTokens(x).numel());
+    state.SetBytesProcessed(state.iterations() * 2 * 4 * x.numel());
+}
+BENCHMARK(BM_NchwToTokens);
+
+/** B2 decoder concat: four 768-channel maps at 24². */
+void
+BM_Concat(benchmark::State &state)
+{
+    Rng rng(13);
+    std::vector<Tensor> parts;
+    for (int i = 0; i < 4; ++i)
+        parts.push_back(Tensor::randn({1, 768, 24, 24}, rng));
+    const std::vector<const Tensor *> ptrs = {&parts[0], &parts[1],
+                                              &parts[2], &parts[3]};
+    for (auto _ : state)
+        benchmark::DoNotOptimize(concatChannels(ptrs).numel());
+    state.SetBytesProcessed(state.iterations() * 2 * 4 * 4 * 768 * 576);
+}
+BENCHMARK(BM_Concat);
 
 void
 BM_WindowPartition(benchmark::State &state)

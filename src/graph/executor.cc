@@ -318,31 +318,10 @@ Executor::execute(const Layer &layer, const std::vector<Tensor *> &ins)
       case LayerKind::Add:
         return add(*ins.at(0), *ins.at(1));
       case LayerKind::Concat: {
-        if (ins.at(0)->rank() == 3) {
-            // Token-dimension concat of (N, L_i, C) sequences.
-            const int64_t n = ins[0]->dim(0);
-            const int64_t c = ins[0]->dim(2);
-            int64_t total_l = 0;
-            for (Tensor *t : ins)
-                total_l += t->dim(1);
-            Tensor out({n, total_l, c});
-            for (int64_t nn = 0; nn < n; ++nn) {
-                int64_t off = 0;
-                for (Tensor *t : ins) {
-                    const int64_t l = t->dim(1);
-                    const float *src = t->data() + nn * l * c;
-                    float *dst = out.data() + (nn * total_l + off) * c;
-                    std::copy(src, src + l * c, dst);
-                    off += l;
-                }
-            }
-            return out;
-        }
-        std::vector<Tensor> parts;
-        parts.reserve(ins.size());
-        for (Tensor *t : ins)
-            parts.push_back(*t);
-        return concatChannels(parts);
+        const std::vector<const Tensor *> parts(ins.begin(), ins.end());
+        // (N, L_i, C) sequences join along L, feature maps along C.
+        return parts.at(0)->rank() == 3 ? concatTokens(parts)
+                                        : concatChannels(parts);
       }
       case LayerKind::Interpolate:
         return interpolateBilinear(*ins.at(0), a.outH, a.outW);
@@ -354,26 +333,8 @@ Executor::execute(const Layer &layer, const std::vector<Tensor *> &ins)
         return tokensToNchw(*ins.at(0), a.gridH, a.gridW);
       case LayerKind::ImageToTokens:
         return nchwToTokens(*ins.at(0));
-      case LayerKind::Patchify: {
-        const Tensor &in = *ins.at(0);
-        const int64_t p = a.kernelH;
-        const int64_t n = in.dim(0);
-        const int64_t c = in.dim(1);
-        const int64_t gh = in.dim(2) / p;
-        const int64_t gw = in.dim(3) / p;
-        Tensor out({n, gh * gw, c * p * p});
-        for (int64_t nn = 0; nn < n; ++nn)
-            for (int64_t gy = 0; gy < gh; ++gy)
-                for (int64_t gx = 0; gx < gw; ++gx)
-                    for (int64_t cc = 0; cc < c; ++cc)
-                        for (int64_t py = 0; py < p; ++py)
-                            for (int64_t px = 0; px < p; ++px)
-                                out.at3(nn, gy * gw + gx,
-                                        (cc * p + py) * p + px) =
-                                    in.at4(nn, cc, gy * p + py,
-                                           gx * p + px);
-        return out;
-      }
+      case LayerKind::Patchify:
+        return patchify(*ins.at(0), a.kernelH);
       case LayerKind::WindowPartition:
         return windowPartition(*ins.at(0), a.gridH, a.gridW, a.window);
       case LayerKind::WindowReverse: {
@@ -381,33 +342,8 @@ Executor::execute(const Layer &layer, const std::vector<Tensor *> &ins)
         return windowReverse(*ins.at(0), a.gridH, a.gridW, a.window,
                              ins.at(0)->dim(0) / nw);
       }
-      case LayerKind::Narrow: {
-        const Tensor &in = *ins.at(0);
-        const int64_t keep = a.outChannels;
-        if (in.rank() == 4) {
-            const int64_t n = in.dim(0);
-            const int64_t h = in.dim(2);
-            const int64_t w = in.dim(3);
-            Tensor out({n, keep, h, w});
-            for (int64_t nn = 0; nn < n; ++nn)
-                for (int64_t cc = 0; cc < keep; ++cc)
-                    for (int64_t hh = 0; hh < h; ++hh)
-                        for (int64_t ww = 0; ww < w; ++ww)
-                            out.at4(nn, cc, hh, ww) =
-                                in.at4(nn, cc, hh, ww);
-            return out;
-        }
-        // Token layout: slice the last dimension.
-        const int64_t c = in.dim(-1);
-        const int64_t rows = in.numel() / c;
-        Shape out_shape = in.shape();
-        out_shape.back() = keep;
-        Tensor out(out_shape);
-        for (int64_t r = 0; r < rows; ++r)
-            for (int64_t i = 0; i < keep; ++i)
-                out[r * keep + i] = in[r * c + i];
-        return out;
-      }
+      case LayerKind::Narrow:
+        return narrowChannels(*ins.at(0), a.outChannels);
     }
     vitdyn_panic("unhandled layer kind in execute");
 }

@@ -136,6 +136,7 @@ enumerateConvPlans(const Conv2dShapeKey &key,
     if (key.flops() <= 8 * opts.minMeasureFlops) {
         Conv2dPlan direct;
         direct.algo = Conv2dAlgo::Direct;
+        direct.isa = activeIsa();
         push(direct);
     }
 

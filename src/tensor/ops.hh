@@ -17,7 +17,9 @@
 #ifndef VITDYN_TENSOR_OPS_HH
 #define VITDYN_TENSOR_OPS_HH
 
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "tensor/kernels/kernels.hh"
 #include "tensor/tensor.hh"
@@ -223,7 +225,29 @@ Tensor batchNorm(const Tensor &input, const Tensor &gamma,
 /** Elementwise rectified linear unit. */
 Tensor relu(const Tensor &input);
 
-/** Elementwise GELU (tanh approximation, as used by PyTorch). */
+/**
+ * GELU of one element, tanh approximation as used by PyTorch:
+ * 0.5 v (1 + tanh(sqrt(2/pi) (v + 0.044715 v^3))). The one expression
+ * behind gelu(), geluInPlace() and the fused conv epilogue, so the
+ * fused and unfused paths cannot drift apart by a bit.
+ */
+inline float
+geluScalar(float v)
+{
+    constexpr float kAlpha = 0.7978845608f; // sqrt(2/pi)
+    const float inner = kAlpha * (v + 0.044715f * v * v * v);
+    return 0.5f * v * (1.0f + std::tanh(inner));
+}
+
+/**
+ * geluScalar()'s cost in FLOPs, as the kernels size their shards. The
+ * scalar tanh dominates and takes as long as a few dozen FLOPs, so a
+ * shard carries 8192 elements: B2's activations shard, the soak
+ * model's (at most 8192 elements) stay inline.
+ */
+constexpr int64_t kGeluFlops = 32;
+
+/** Elementwise GELU (geluScalar() per element). */
 Tensor gelu(const Tensor &input);
 
 /** Elementwise sum; shapes must match. */
@@ -275,13 +299,39 @@ Tensor maxPool2d(const Tensor &input, int64_t kernel, int64_t stride,
 /** Global/adaptive average pooling of NCHW to (out_h, out_w). */
 Tensor adaptiveAvgPool2d(const Tensor &input, int64_t out_h, int64_t out_w);
 
-/** Concatenate along the channel dimension (dim 1) of NCHW tensors. */
-Tensor concatChannels(const std::vector<Tensor> &inputs);
+/**
+ * Concatenate along the channel dimension (dim 1) of NCHW tensors.
+ * Sharded over output (n, c) rows, each contiguous run of one input's
+ * rows copied with one std::copy.
+ */
+Tensor concatChannels(const std::vector<const Tensor *> &inputs);
 
-/** (N, C, H, W) -> (N, H*W, C) token layout. */
+/** Concatenate (N, L_i, C) token sequences along L, as concatChannels. */
+Tensor concatTokens(const std::vector<const Tensor *> &inputs);
+
+/**
+ * Keep the first @p keep channels: dim 1 of an NCHW tensor, the last
+ * dimension of any other layout (tokens). Contiguous row copies,
+ * sharded as concatChannels.
+ */
+Tensor narrowChannels(const Tensor &input, int64_t keep);
+
+/**
+ * (N, C, H, W) -> (N, (H/p)*(W/p), C*p*p) non-overlapping p x p patches
+ * in row-major grid order, each patch flattened (c, py, px).
+ */
+Tensor patchify(const Tensor &input, int64_t patch);
+
+/**
+ * (N, C, H, W) -> (N, H*W, C) token layout: a blocked transpose per
+ * image, sharded over (n, token block).
+ */
 Tensor nchwToTokens(const Tensor &input);
 
-/** (N, H*W, C) -> (N, C, H, W); H*W must equal the token count. */
+/**
+ * (N, H*W, C) -> (N, C, H, W); H*W must equal the token count. A
+ * blocked transpose per image, sharded over (n, channel block).
+ */
 Tensor tokensToNchw(const Tensor &input, int64_t h, int64_t w);
 
 /**

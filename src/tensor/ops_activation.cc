@@ -1,11 +1,33 @@
 #include "tensor/ops.hh"
 
-#include <cmath>
-
 #include "util/logging.hh"
+#include "util/threadpool.hh"
 
 namespace vitdyn
 {
+
+namespace
+{
+
+/**
+ * Run @p fn(i) for every flat index of an @p n-element tensor, sharded
+ * over contiguous index ranges of about a quarter MFLOP each. Every
+ * index is written by exactly one shard with the sequential loop's
+ * expression, so any thread count gives the same bits; tensors within
+ * one grain run inline.
+ */
+template <typename Fn>
+void
+forEachIndex(int64_t n, int64_t flops_per_elem, const Fn &fn)
+{
+    parallelFor(0, n, grainForFlops(flops_per_elem),
+                [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i)
+            fn(i);
+    });
+}
+
+} // namespace
 
 Tensor
 relu(const Tensor &input)
@@ -13,24 +35,20 @@ relu(const Tensor &input)
     Tensor out(input.shape());
     const float *x = input.data();
     float *y = out.data();
-    for (int64_t i = 0; i < input.numel(); ++i)
+    forEachIndex(input.numel(), 1, [&](int64_t i) {
         y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    });
     return out;
 }
 
 Tensor
 gelu(const Tensor &input)
 {
-    // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3)))
-    constexpr float kAlpha = 0.7978845608f; // sqrt(2/pi)
     Tensor out(input.shape());
     const float *x = input.data();
     float *y = out.data();
-    for (int64_t i = 0; i < input.numel(); ++i) {
-        const float v = x[i];
-        const float inner = kAlpha * (v + 0.044715f * v * v * v);
-        y[i] = 0.5f * v * (1.0f + std::tanh(inner));
-    }
+    forEachIndex(input.numel(), kGeluFlops,
+                 [&](int64_t i) { y[i] = geluScalar(x[i]); });
     return out;
 }
 
@@ -44,8 +62,7 @@ add(const Tensor &a, const Tensor &b)
     const float *pa = a.data();
     const float *pb = b.data();
     float *y = out.data();
-    for (int64_t i = 0; i < a.numel(); ++i)
-        y[i] = pa[i] + pb[i];
+    forEachIndex(a.numel(), 1, [&](int64_t i) { y[i] = pa[i] + pb[i]; });
     return out;
 }
 
@@ -53,20 +70,17 @@ void
 reluInPlace(Tensor &x)
 {
     float *y = x.data();
-    for (int64_t i = 0; i < x.numel(); ++i)
+    forEachIndex(x.numel(), 1, [&](int64_t i) {
         y[i] = y[i] > 0.0f ? y[i] : 0.0f;
+    });
 }
 
 void
 geluInPlace(Tensor &x)
 {
-    constexpr float kAlpha = 0.7978845608f; // sqrt(2/pi), as gelu()
     float *y = x.data();
-    for (int64_t i = 0; i < x.numel(); ++i) {
-        const float v = y[i];
-        const float inner = kAlpha * (v + 0.044715f * v * v * v);
-        y[i] = 0.5f * v * (1.0f + std::tanh(inner));
-    }
+    forEachIndex(x.numel(), kGeluFlops,
+                 [&](int64_t i) { y[i] = geluScalar(y[i]); });
 }
 
 void
@@ -78,8 +92,7 @@ addInPlace(Tensor &x, const Tensor &other)
     float *y = x.data();
     const float *p = other.data();
     // Read-then-write per index, so `other` aliasing `x` is safe.
-    for (int64_t i = 0; i < x.numel(); ++i)
-        y[i] = y[i] + p[i];
+    forEachIndex(x.numel(), 1, [&](int64_t i) { y[i] = y[i] + p[i]; });
 }
 
 } // namespace vitdyn

@@ -79,6 +79,70 @@ conv2dDirectSlice(const Tensor &input, const Tensor &weight,
 }
 
 /**
+ * Depthwise conv2d (cg == 1: one input channel per output channel, any
+ * channel multiplier) over the [nk_begin, nk_end) slice of (n, k)
+ * output planes. Each output row starts at the bias; then, for r
+ * ascending and s ascending, it adds in * w over the output columns
+ * whose tap lands inside the input. That is the direct loop's
+ * per-element order with the padded taps skipped, so the result is
+ * memcmp-identical to conv2dDirectSlice. Stride-1 spans run on the
+ * exact axpyF32 microkernel.
+ */
+void
+conv2dDepthwiseSlice(const Tensor &input, const Tensor &weight,
+                     const Tensor &bias, const Conv2dParams &params,
+                     const Microkernels &mk, Tensor &out, int64_t nk_begin,
+                     int64_t nk_end)
+{
+    const int64_t c = input.dim(1);
+    const int64_t h = input.dim(2);
+    const int64_t w = input.dim(3);
+    const int64_t k = weight.dim(0);
+    const int64_t r = weight.dim(2);
+    const int64_t s = weight.dim(3);
+    const int64_t p = out.dim(2);
+    const int64_t q = out.dim(3);
+    const int64_t kpg = k / params.groups;
+    const int64_t sw = params.strideW;
+
+    for (int64_t nk = nk_begin; nk < nk_end; ++nk) {
+        const int64_t ok = nk % k;
+        const float *plane = input.data() + ((nk / k) * c + ok / kpg) * h * w;
+        const float *wk = weight.data() + ok * r * s;
+        float *dst = out.data() + nk * p * q;
+        const float b = bias.numel() ? bias[ok] : 0.0f;
+        for (int64_t op = 0; op < p; ++op) {
+            float *orow = dst + op * q;
+            std::fill(orow, orow + q, b);
+            const int64_t ih0 = op * params.strideH - params.padH;
+            for (int64_t rr = 0; rr < r; ++rr) {
+                const int64_t ih = ih0 + rr;
+                if (ih < 0 || ih >= h)
+                    continue;
+                const float *irow = plane + ih * w;
+                for (int64_t ss = 0; ss < s; ++ss) {
+                    // Output columns oq in [q0, q1) read input column
+                    // oq * sw + off, which lies in [0, w).
+                    const int64_t off = ss - params.padW;
+                    const int64_t q0 = off >= 0 ? 0 : (sw - 1 - off) / sw;
+                    const int64_t q1 =
+                        off < w ? std::min(q, (w - 1 - off) / sw + 1) : 0;
+                    if (q0 >= q1)
+                        continue;
+                    const float wv = wk[rr * s + ss];
+                    if (sw == 1) {
+                        mk.axpyF32(wv, irow + q0 + off, orow + q0, q1 - q0);
+                    } else {
+                        for (int64_t oq = q0; oq < q1; ++oq)
+                            orow[oq] += irow[oq * sw + off] * wv;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
  * Im2col + blocked GEMM path (groups == 1). The column matrix is
  * (R*S*C, P*Q) with row index l = (r*S + s)*C + c — ascending l is the
  * direct path's r -> s -> c accumulation order, and padded taps become
@@ -235,6 +299,7 @@ conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
     switch (algo) {
       case Conv2dAlgo::Direct:
         plan.algo = Conv2dAlgo::Direct;
+        plan.isa = activeIsa();
         break;
       case Conv2dAlgo::Im2col:
         plan.algo = Conv2dAlgo::Im2col;
@@ -316,6 +381,13 @@ conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
             ws = &fallback;
         }
         conv2dIm2col(input, weight, bias, params, plan, *ws, out);
+    } else if (cg == 1) {
+        const Microkernels &mk = kernelsFor(plan.isa);
+        parallelFor(0, n * k, grainForFlops(flops_per_nk),
+                    [&](int64_t nk0, int64_t nk1) {
+            conv2dDepthwiseSlice(input, weight, bias, params, mk, out, nk0,
+                                 nk1);
+        });
     } else {
         parallelFor(0, n * k, grainForFlops(flops_per_nk),
                     [&](int64_t nk0, int64_t nk1) {
@@ -426,34 +498,48 @@ interpolateBilinear(const Tensor &input, int64_t out_h, int64_t out_w)
     const float scale_h = static_cast<float>(h) / out_h;
     const float scale_w = static_cast<float>(w) / out_w;
 
+    // Source taps and weights per output row and column, computed once
+    // per call with the per-element loop's expressions.
+    struct Tap
+    {
+        int64_t i0, i1;
+        float f;
+    };
+    const auto taps = [](int64_t out_len, int64_t in_len, float scale) {
+        std::vector<Tap> t(static_cast<size_t>(out_len));
+        for (int64_t o = 0; o < out_len; ++o) {
+            // align_corners = false source coordinate.
+            float src = (o + 0.5f) * scale - 0.5f;
+            src = std::max(
+                0.0f, std::min(src, static_cast<float>(in_len - 1)));
+            const int64_t i0 = static_cast<int64_t>(src);
+            t[static_cast<size_t>(o)] = {
+                i0, std::min(i0 + 1, in_len - 1), src - i0};
+        }
+        return t;
+    };
+    const std::vector<Tap> rows = taps(out_h, h, scale_h);
+    const std::vector<Tap> cols = taps(out_w, w, scale_w);
+
     parallelFor(0, n * c, grainForFlops(8 * out_h * out_w),
                 [&](int64_t nc0, int64_t nc1) {
         for (int64_t nc = nc0; nc < nc1; ++nc) {
-            const int64_t in_n = nc / c;
-            const int64_t cc = nc % c;
+            const float *plane = input.data() + nc * h * w;
+            float *dst = out.data() + nc * out_h * out_w;
             for (int64_t op = 0; op < out_h; ++op) {
-                // align_corners = false source coordinate.
-                float src_h = (op + 0.5f) * scale_h - 0.5f;
-                src_h = std::max(
-                    0.0f,
-                    std::min(src_h, static_cast<float>(h - 1)));
-                const int64_t h0 = static_cast<int64_t>(src_h);
-                const int64_t h1 = std::min(h0 + 1, h - 1);
-                const float fh = src_h - h0;
+                const Tap &th = rows[static_cast<size_t>(op)];
+                const float *row0 = plane + th.i0 * w;
+                const float *row1 = plane + th.i1 * w;
+                const float fh = th.f;
+                float *orow = dst + op * out_w;
                 for (int64_t oq = 0; oq < out_w; ++oq) {
-                    float src_w = (oq + 0.5f) * scale_w - 0.5f;
-                    src_w = std::max(
-                        0.0f,
-                        std::min(src_w, static_cast<float>(w - 1)));
-                    const int64_t w0 = static_cast<int64_t>(src_w);
-                    const int64_t w1 = std::min(w0 + 1, w - 1);
-                    const float fw = src_w - w0;
-
-                    const float v00 = input.at4(in_n, cc, h0, w0);
-                    const float v01 = input.at4(in_n, cc, h0, w1);
-                    const float v10 = input.at4(in_n, cc, h1, w0);
-                    const float v11 = input.at4(in_n, cc, h1, w1);
-                    out.at4(in_n, cc, op, oq) =
+                    const Tap &tw = cols[static_cast<size_t>(oq)];
+                    const float fw = tw.f;
+                    const float v00 = row0[tw.i0];
+                    const float v01 = row0[tw.i1];
+                    const float v10 = row1[tw.i0];
+                    const float v11 = row1[tw.i1];
+                    orow[oq] =
                         v00 * (1 - fh) * (1 - fw) +
                         v01 * (1 - fh) * fw + v10 * fh * (1 - fw) +
                         v11 * fh * fw;

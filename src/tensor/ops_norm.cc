@@ -147,10 +147,10 @@ convEpilogueInPlace(Tensor &x, const float *scale, const float *shift,
     // Elementwise over disjoint (n, c) rows: deterministic under the
     // sharded parallelFor at any thread count.
     const int64_t row_flops =
-        hw * ((scale ? 2 : 0) + (act == EpilogueAct::GELU ? 8 : 1));
+        hw * ((scale ? 2 : 0) +
+              (act == EpilogueAct::GELU ? kGeluFlops : 1));
     parallelFor(0, rows, grainForFlops(row_flops),
                 [&](int64_t begin, int64_t end) {
-        constexpr float kAlpha = 0.7978845608f; // sqrt(2/pi), as gelu()
         for (int64_t row = begin; row < end; ++row) {
             float *y = data + row * hw;
             if (scale) {
@@ -168,12 +168,8 @@ convEpilogueInPlace(Tensor &x, const float *scale, const float *shift,
                     y[i] = y[i] > 0.0f ? y[i] : 0.0f;
                 break;
               case EpilogueAct::GELU:
-                for (int64_t i = 0; i < hw; ++i) {
-                    const float v = y[i];
-                    const float inner =
-                        kAlpha * (v + 0.044715f * v * v * v);
-                    y[i] = 0.5f * v * (1.0f + std::tanh(inner));
-                }
+                for (int64_t i = 0; i < hw; ++i)
+                    y[i] = geluScalar(y[i]);
                 break;
             }
         }

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <vector>
 
+#include "parity.hh"
 #include "tensor/ops.hh"
 #include "util/random.hh"
 #include "util/threadpool.hh"
@@ -442,6 +444,257 @@ TEST(Interpolate, DownsampleAveragesNeighborhood)
         EXPECT_LE(y[i], 3.0f);
     }
 }
+
+// ---------------------------------------------------------------------
+// Depthwise and bilinear parity: conv2d's depthwise (cg == 1) slice and
+// interpolateBilinear must be memcmp-identical to the loops they
+// replaced (copied below as oracles) for every available ISA, at 1 and
+// 4 pool threads, including inputs holding -0.0, NaN and +-Inf.
+// ---------------------------------------------------------------------
+
+/** The direct loop nest conv2d ran for every Direct conv before. */
+Tensor
+directConvOracle(const Tensor &input, const Tensor &weight,
+                 const Tensor &bias, const Conv2dParams &params)
+{
+    const int64_t n = input.dim(0);
+    const int64_t h = input.dim(2);
+    const int64_t w = input.dim(3);
+    const int64_t k = weight.dim(0);
+    const int64_t cg = weight.dim(1);
+    const int64_t r = weight.dim(2);
+    const int64_t s = weight.dim(3);
+    const int64_t p = convOutDim(h, r, params.strideH, params.padH);
+    const int64_t q = convOutDim(w, s, params.strideW, params.padW);
+    const int64_t kpg = k / params.groups;
+    Tensor out({n, k, p, q});
+    for (int64_t nk = 0; nk < n * k; ++nk) {
+        const int64_t in_n = nk / k;
+        const int64_t ok = nk % k;
+        const int64_t g = ok / kpg;
+        const int64_t c_base = g * cg;
+        const float b = bias.numel() ? bias[ok] : 0.0f;
+        for (int64_t op = 0; op < p; ++op) {
+            const int64_t ih0 = op * params.strideH - params.padH;
+            for (int64_t oq = 0; oq < q; ++oq) {
+                const int64_t iw0 = oq * params.strideW - params.padW;
+                float acc = b;
+                for (int64_t rr = 0; rr < r; ++rr) {
+                    const int64_t ih = ih0 + rr;
+                    if (ih < 0 || ih >= h)
+                        continue;
+                    for (int64_t ss = 0; ss < s; ++ss) {
+                        const int64_t iw = iw0 + ss;
+                        if (iw < 0 || iw >= w)
+                            continue;
+                        for (int64_t cc = 0; cc < cg; ++cc) {
+                            acc += input.at4(in_n, c_base + cc, ih, iw) *
+                                   weight.at4(ok, cc, rr, ss);
+                        }
+                    }
+                }
+                out.at4(in_n, ok, op, oq) = acc;
+            }
+        }
+    }
+    return out;
+}
+
+/** The per-element bilinear loop interpolateBilinear ran before. */
+Tensor
+bilinearOracle(const Tensor &input, int64_t out_h, int64_t out_w)
+{
+    const int64_t n = input.dim(0);
+    const int64_t c = input.dim(1);
+    const int64_t h = input.dim(2);
+    const int64_t w = input.dim(3);
+    Tensor out({n, c, out_h, out_w});
+    const float scale_h = static_cast<float>(h) / out_h;
+    const float scale_w = static_cast<float>(w) / out_w;
+    for (int64_t nc = 0; nc < n * c; ++nc) {
+        const int64_t in_n = nc / c;
+        const int64_t cc = nc % c;
+        for (int64_t op = 0; op < out_h; ++op) {
+            float src_h = (op + 0.5f) * scale_h - 0.5f;
+            src_h = std::max(
+                0.0f, std::min(src_h, static_cast<float>(h - 1)));
+            const int64_t h0 = static_cast<int64_t>(src_h);
+            const int64_t h1 = std::min(h0 + 1, h - 1);
+            const float fh = src_h - h0;
+            for (int64_t oq = 0; oq < out_w; ++oq) {
+                float src_w = (oq + 0.5f) * scale_w - 0.5f;
+                src_w = std::max(
+                    0.0f, std::min(src_w, static_cast<float>(w - 1)));
+                const int64_t w0 = static_cast<int64_t>(src_w);
+                const int64_t w1 = std::min(w0 + 1, w - 1);
+                const float fw = src_w - w0;
+
+                const float v00 = input.at4(in_n, cc, h0, w0);
+                const float v01 = input.at4(in_n, cc, h0, w1);
+                const float v10 = input.at4(in_n, cc, h1, w0);
+                const float v11 = input.at4(in_n, cc, h1, w1);
+                out.at4(in_n, cc, op, oq) =
+                    v00 * (1 - fh) * (1 - fw) + v01 * (1 - fh) * fw +
+                    v10 * fh * (1 - fw) + v11 * fh * fw;
+            }
+        }
+    }
+    return out;
+}
+
+class DepthwiseParityTest : public PoolThreadsTest
+{
+};
+
+struct DepthwiseCase
+{
+    Shape x;
+    int64_t mult; ///< Output channels per input channel.
+    int64_t kh, kw, sh, sw, ph, pw;
+    bool bias;
+};
+
+// Kernels 1/3/5/7, strides 1 and 2, pads 0-3 (pad 3 on a 3x3 kernel
+// makes whole output rows and columns of padding), inputs narrower
+// than the kernel, a single output column, a channel multiplier, an
+// asymmetric kernel, batch n > 1, and a B2-like plane count that
+// shards at 4 threads.
+const DepthwiseCase kDepthwiseCases[] = {
+    {{1, 5, 6, 7}, 1, 1, 1, 1, 1, 0, 0, true},
+    {{2, 3, 9, 9}, 1, 1, 1, 2, 2, 1, 1, true},
+    {{2, 6, 11, 13}, 1, 3, 3, 1, 1, 1, 1, true},
+    {{1, 4, 12, 9}, 1, 3, 3, 2, 2, 1, 1, false},
+    {{1, 4, 5, 5}, 1, 3, 3, 1, 1, 0, 0, true},
+    {{1, 3, 7, 6}, 1, 3, 3, 1, 1, 3, 3, true},
+    {{1, 3, 10, 17}, 1, 5, 5, 1, 1, 2, 2, true},
+    {{1, 3, 10, 11}, 1, 5, 5, 2, 2, 3, 3, true},
+    {{1, 2, 14, 9}, 1, 7, 7, 1, 1, 3, 3, true},
+    {{1, 2, 15, 15}, 1, 7, 7, 2, 2, 3, 3, false},
+    {{1, 3, 4, 2}, 1, 5, 5, 1, 1, 2, 2, true},
+    {{1, 2, 3, 2}, 1, 7, 7, 1, 1, 3, 3, true},
+    {{1, 3, 6, 3}, 1, 3, 3, 1, 1, 0, 0, true},
+    {{1, 2, 5, 1}, 1, 3, 3, 1, 2, 1, 1, true},
+    {{1, 4, 8, 8}, 2, 3, 3, 1, 1, 1, 1, true},
+    {{2, 3, 9, 10}, 2, 3, 3, 2, 2, 1, 1, true},
+    {{1, 3, 9, 12}, 1, 3, 5, 1, 2, 0, 2, true},
+    {{1, 96, 24, 24}, 1, 3, 3, 1, 1, 1, 1, true},
+};
+
+/** Every Direct plan the depthwise slice can run under: one per
+ *  available ISA. */
+std::vector<Conv2dPlan>
+directPlans()
+{
+    std::vector<Conv2dPlan> plans;
+    for (IsaLevel isa : availableIsas()) {
+        Conv2dPlan plan;
+        plan.algo = Conv2dAlgo::Direct;
+        plan.isa = isa;
+        plans.push_back(plan);
+    }
+    return plans;
+}
+
+TEST_P(DepthwiseParityTest, MatchesDirectLoop)
+{
+    Rng rng(89);
+    for (const DepthwiseCase &tc : kDepthwiseCases) {
+        const int64_t c = tc.x[1];
+        Conv2dParams p;
+        p.strideH = tc.sh;
+        p.strideW = tc.sw;
+        p.padH = tc.ph;
+        p.padW = tc.pw;
+        p.groups = c;
+        Tensor x = Tensor::randn(tc.x, rng);
+        Tensor w = Tensor::randn({c * tc.mult, 1, tc.kh, tc.kw}, rng);
+        Tensor b = tc.bias ? Tensor::randn({c * tc.mult}, rng) : Tensor{};
+        const Tensor want = directConvOracle(x, w, b, p);
+        for (const Conv2dPlan &plan : directPlans())
+            EXPECT_TRUE(bitIdentical(want, conv2d(x, w, b, p, plan)))
+                << "x " << shapeToString(tc.x) << " kernel " << tc.kh
+                << "x" << tc.kw << " isa " << isaName(plan.isa);
+        EXPECT_TRUE(bitIdentical(want, conv2d(x, w, b, p)))
+            << "auto, x " << shapeToString(tc.x);
+
+        for (const NanFlavor &f : nanFlavors()) {
+            Tensor xs = x;
+            addSpecials(xs, f.nan);
+            Tensor ws = w;
+            ws[1] = -0.0f;
+            Tensor bs = b;
+            if (bs.numel())
+                bs[0] = -0.0f;
+            const Tensor want_sp = directConvOracle(xs, ws, bs, p);
+            for (const Conv2dPlan &plan : directPlans())
+                EXPECT_TRUE(bitIdentical(
+                    want_sp, conv2d(xs, ws, bs, p, plan), f.nanBits))
+                    << "specials, x " << shapeToString(tc.x) << " kernel "
+                    << tc.kh << "x" << tc.kw << " isa " << isaName(plan.isa)
+                    << " nan bits " << f.nanBits;
+        }
+    }
+}
+
+TEST_P(DepthwiseParityTest, UngroupedSingleChannelInputUsesSameOrder)
+{
+    // cg == 1 with groups == 1: a one-channel image feeding many output
+    // channels also takes the depthwise slice on a Direct plan.
+    Rng rng(97);
+    Conv2dParams p;
+    p.padH = p.padW = 2;
+    p.strideW = 2;
+    Tensor x = Tensor::randn({2, 1, 9, 11}, rng);
+    Tensor w = Tensor::randn({5, 1, 5, 3}, rng);
+    Tensor b = Tensor::randn({5}, rng);
+    const Tensor want = directConvOracle(x, w, b, p);
+    for (const Conv2dPlan &plan : directPlans())
+        EXPECT_TRUE(bitIdentical(want, conv2d(x, w, b, p, plan)))
+            << "isa " << isaName(plan.isa);
+}
+
+class BilinearParityTest : public PoolThreadsTest
+{
+};
+
+TEST_P(BilinearParityTest, MatchesPerElementLoop)
+{
+    struct Case
+    {
+        Shape x;
+        int64_t oh, ow;
+    };
+    // Up, down, same size, mixed, 1x1 in and out, and the B2
+    // FinalUpsample shape (150 planes, 24 -> 96), which shards.
+    const Case cases[] = {
+        {{1, 3, 5, 7}, 13, 17},  {{2, 2, 13, 11}, 5, 4},
+        {{1, 2, 7, 7}, 7, 7},    {{1, 2, 5, 9}, 11, 4},
+        {{1, 1, 1, 1}, 3, 5},    {{1, 2, 6, 4}, 1, 1},
+        {{1, 150, 24, 24}, 96, 96},
+    };
+    Rng rng(101);
+    for (const Case &tc : cases) {
+        Tensor x = Tensor::randn(tc.x, rng);
+        EXPECT_TRUE(bitIdentical(bilinearOracle(x, tc.oh, tc.ow),
+                                 interpolateBilinear(x, tc.oh, tc.ow)))
+            << "x " << shapeToString(tc.x) << " -> " << tc.oh << "x"
+            << tc.ow;
+        for (const NanFlavor &f : nanFlavors()) {
+            Tensor xs = x;
+            addSpecials(xs, f.nan);
+            EXPECT_TRUE(bitIdentical(bilinearOracle(xs, tc.oh, tc.ow),
+                                     interpolateBilinear(xs, tc.oh, tc.ow),
+                                     f.nanBits))
+                << "specials, x " << shapeToString(tc.x) << " nan bits "
+                << f.nanBits;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, DepthwiseParityTest,
+                         ::testing::Values(1, 4));
+INSTANTIATE_TEST_SUITE_P(Threads, BilinearParityTest,
+                         ::testing::Values(1, 4));
 
 } // namespace
 } // namespace vitdyn

@@ -7,9 +7,9 @@
 #include <limits>
 #include <vector>
 
+#include "parity.hh"
 #include "tensor/ops.hh"
 #include "util/random.hh"
-#include "util/threadpool.hh"
 
 namespace vitdyn
 {
@@ -243,83 +243,8 @@ contextOracle(const Tensor &s, const Tensor &v)
     return out;
 }
 
-std::vector<IsaLevel>
-availableIsas()
+class GemmParityTest : public PoolThreadsTest
 {
-    std::vector<IsaLevel> isas;
-    for (IsaLevel isa : {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Neon})
-        if (isaAvailable(isa))
-            isas.push_back(isa);
-    return isas;
-}
-
-/**
- * memcmp equality, element by element. With @p nan_bits false, two NaNs
- * count as equal whatever their bits: which NaN operand an add returns
- * is the compiler's choice of operand order (the add commutes), so NaN
- * payloads and signs are only reproducible while a single NaN encoding
- * is in play.
- */
-::testing::AssertionResult
-bitIdentical(const Tensor &want, const Tensor &got, bool nan_bits = true)
-{
-    if (want.shape() != got.shape())
-        return ::testing::AssertionFailure()
-               << "shape " << shapeToString(got.shape()) << " != "
-               << shapeToString(want.shape());
-    for (int64_t i = 0; i < want.numel(); ++i) {
-        if (!nan_bits && std::isnan(want[i]) && std::isnan(got[i]))
-            continue;
-        if (std::memcmp(&want.data()[i], &got.data()[i], sizeof(float)))
-            return ::testing::AssertionFailure()
-                   << "element " << i << ": got " << got[i] << ", want "
-                   << want[i];
-    }
-    return ::testing::AssertionSuccess();
-}
-
-/**
- * The NaN the FPU itself produces for an invalid operation. Inputs
- * carrying exactly this encoding leave one NaN bit pattern in the whole
- * computation (Inf - Inf and Inf * 0 make the same one), so outputs must
- * match to the bit.
- */
-float
-generatedNaN()
-{
-    volatile float inf = std::numeric_limits<float>::infinity();
-    return inf - inf;
-}
-
-/** Sprinkle -0.0, @p nan and +-Inf through @p t at a fixed stride. */
-void
-addSpecials(Tensor &t, float nan)
-{
-    const float inf = std::numeric_limits<float>::infinity();
-    const float specials[] = {-0.0f, nan, inf, -inf};
-    for (int64_t i = 0, s = 0; i < t.numel(); i += 7, ++s)
-        t[i] = specials[s % 4];
-}
-
-/** Both NaN flavors: {the generated encoding, bits compared} and {a
- *  different quiet NaN, NaN positions compared}. */
-struct NanFlavor
-{
-    float nan;
-    bool nanBits;
-};
-
-std::vector<NanFlavor>
-nanFlavors()
-{
-    return {{generatedNaN(), true}, {std::nanf("7"), false}};
-}
-
-class GemmParityTest : public ::testing::TestWithParam<int>
-{
-  protected:
-    void SetUp() override { ThreadPool::instance().resize(GetParam()); }
-    void TearDown() override { ThreadPool::instance().resize(0); }
 };
 
 TEST_P(GemmParityTest, LinearMatchesScalarLoop)

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
+#include "parity.hh"
 #include "tensor/ops.hh"
 #include "util/random.hh"
 
@@ -240,11 +242,21 @@ TEST(ConcatChannels, StacksInOrder)
 {
     Tensor a({1, 1, 2, 2}, 1.0f);
     Tensor b({1, 2, 2, 2}, 2.0f);
-    Tensor y = concatChannels({a, b});
+    Tensor y = concatChannels({&a, &b});
     EXPECT_EQ(y.shape(), (Shape{1, 3, 2, 2}));
     EXPECT_FLOAT_EQ(y.at4(0, 0, 0, 0), 1.0f);
     EXPECT_FLOAT_EQ(y.at4(0, 1, 0, 0), 2.0f);
     EXPECT_FLOAT_EQ(y.at4(0, 2, 1, 1), 2.0f);
+}
+
+TEST(ConcatChannels, MismatchedShapePanics)
+{
+    Tensor a({1, 1, 2, 2});
+    Tensor b({1, 2, 2, 3});
+    Tensor tokens({1, 4, 2});
+    EXPECT_DEATH(concatChannels({&a, &b}), "mismatched shape");
+    EXPECT_DEATH(concatChannels({&a, &tokens}), "mismatched shape");
+    EXPECT_DEATH(concatTokens({&tokens, &a}), "mismatched shape");
 }
 
 TEST(TokenLayout, RoundTrip)
@@ -298,6 +310,331 @@ TEST(CyclicShift, MovesExpectedPixel)
     EXPECT_FLOAT_EQ(shifted.at3(0, 2, 0), 1.0f);
     EXPECT_FLOAT_EQ(shifted.at3(0, 0, 0), 3.0f);
 }
+
+// ---------------------------------------------------------------------
+// Elementwise and layout parity: the sharded, flat-indexed kernels must
+// be memcmp-identical to the loops they replaced (copied below as
+// oracles) at 1 and 4 pool threads, below and above one shard's grain,
+// including inputs holding -0.0, NaN and +-Inf.
+// ---------------------------------------------------------------------
+
+/** The GELU expression gelu(), geluInPlace() and the fused epilogue
+ *  each spelled out before. */
+float
+geluOracle(float v)
+{
+    constexpr float kAlpha = 0.7978845608f; // sqrt(2/pi)
+    const float inner = kAlpha * (v + 0.044715f * v * v * v);
+    return 0.5f * v * (1.0f + std::tanh(inner));
+}
+
+Tensor
+nchwToTokensOracle(const Tensor &input)
+{
+    const int64_t n = input.dim(0);
+    const int64_t c = input.dim(1);
+    const int64_t h = input.dim(2);
+    const int64_t w = input.dim(3);
+    Tensor out({n, h * w, c});
+    for (int64_t nn = 0; nn < n; ++nn)
+        for (int64_t cc = 0; cc < c; ++cc)
+            for (int64_t hh = 0; hh < h; ++hh)
+                for (int64_t ww = 0; ww < w; ++ww)
+                    out.at3(nn, hh * w + ww, cc) = input.at4(nn, cc, hh, ww);
+    return out;
+}
+
+Tensor
+tokensToNchwOracle(const Tensor &input, int64_t h, int64_t w)
+{
+    const int64_t n = input.dim(0);
+    const int64_t c = input.dim(2);
+    Tensor out({n, c, h, w});
+    for (int64_t nn = 0; nn < n; ++nn)
+        for (int64_t cc = 0; cc < c; ++cc)
+            for (int64_t hh = 0; hh < h; ++hh)
+                for (int64_t ww = 0; ww < w; ++ww)
+                    out.at4(nn, cc, hh, ww) = input.at3(nn, hh * w + ww, cc);
+    return out;
+}
+
+Tensor
+concatChannelsOracle(const std::vector<Tensor> &inputs)
+{
+    const int64_t n = inputs[0].dim(0);
+    const int64_t h = inputs[0].dim(2);
+    const int64_t w = inputs[0].dim(3);
+    int64_t total_c = 0;
+    for (const Tensor &t : inputs)
+        total_c += t.dim(1);
+    Tensor out({n, total_c, h, w});
+    const int64_t hw = h * w;
+    for (int64_t nn = 0; nn < n; ++nn) {
+        int64_t c_off = 0;
+        for (const Tensor &t : inputs) {
+            const int64_t c = t.dim(1);
+            const float *src = t.data() + nn * c * hw;
+            float *dst = out.data() + (nn * total_c + c_off) * hw;
+            std::copy(src, src + c * hw, dst);
+            c_off += c;
+        }
+    }
+    return out;
+}
+
+/** The executor's former token-dimension Concat loop. */
+Tensor
+concatTokensOracle(const std::vector<Tensor> &inputs)
+{
+    const int64_t n = inputs[0].dim(0);
+    const int64_t c = inputs[0].dim(2);
+    int64_t total_l = 0;
+    for (const Tensor &t : inputs)
+        total_l += t.dim(1);
+    Tensor out({n, total_l, c});
+    for (int64_t nn = 0; nn < n; ++nn) {
+        int64_t off = 0;
+        for (const Tensor &t : inputs) {
+            const int64_t l = t.dim(1);
+            const float *src = t.data() + nn * l * c;
+            float *dst = out.data() + (nn * total_l + off) * c;
+            std::copy(src, src + l * c, dst);
+            off += l;
+        }
+    }
+    return out;
+}
+
+/** The executor's former Narrow loops (rank 4, then token layout). */
+Tensor
+narrowOracle(const Tensor &in, int64_t keep)
+{
+    if (in.rank() == 4) {
+        const int64_t n = in.dim(0);
+        const int64_t h = in.dim(2);
+        const int64_t w = in.dim(3);
+        Tensor out({n, keep, h, w});
+        for (int64_t nn = 0; nn < n; ++nn)
+            for (int64_t cc = 0; cc < keep; ++cc)
+                for (int64_t hh = 0; hh < h; ++hh)
+                    for (int64_t ww = 0; ww < w; ++ww)
+                        out.at4(nn, cc, hh, ww) = in.at4(nn, cc, hh, ww);
+        return out;
+    }
+    const int64_t c = in.dim(-1);
+    const int64_t rows = in.numel() / c;
+    Shape out_shape = in.shape();
+    out_shape.back() = keep;
+    Tensor out(out_shape);
+    for (int64_t r = 0; r < rows; ++r)
+        for (int64_t i = 0; i < keep; ++i)
+            out[r * keep + i] = in[r * c + i];
+    return out;
+}
+
+/** The executor's former Patchify loop. */
+Tensor
+patchifyOracle(const Tensor &in, int64_t p)
+{
+    const int64_t n = in.dim(0);
+    const int64_t c = in.dim(1);
+    const int64_t gh = in.dim(2) / p;
+    const int64_t gw = in.dim(3) / p;
+    Tensor out({n, gh * gw, c * p * p});
+    for (int64_t nn = 0; nn < n; ++nn)
+        for (int64_t gy = 0; gy < gh; ++gy)
+            for (int64_t gx = 0; gx < gw; ++gx)
+                for (int64_t cc = 0; cc < c; ++cc)
+                    for (int64_t py = 0; py < p; ++py)
+                        for (int64_t px = 0; px < p; ++px)
+                            out.at3(nn, gy * gw + gx,
+                                    (cc * p + py) * p + px) =
+                                in.at4(nn, cc, gy * p + py, gx * p + px);
+    return out;
+}
+
+class ElementwiseParityTest : public PoolThreadsTest
+{
+};
+
+// Element counts below one shard's grain (inline) and above several
+// (GELU's grain is 2^18 / kGeluFlops elements, Add's and ReLU's 2^18).
+const int64_t kElementCounts[] = {1, 1000, 100003, 600001};
+
+TEST_P(ElementwiseParityTest, GeluReluAddMatchScalarLoops)
+{
+    Rng rng(103);
+    for (int64_t count : kElementCounts)
+        for (const NanFlavor &f : nanFlavors()) {
+            Tensor x = Tensor::randn({count}, rng, 0.0f, 3.0f);
+            Tensor y = Tensor::randn({count}, rng);
+            addSpecials(x, f.nan);
+            Tensor want_gelu({count}), want_relu({count}), want_add({count});
+            for (int64_t i = 0; i < count; ++i) {
+                want_gelu[i] = geluOracle(x[i]);
+                want_relu[i] = x[i] > 0.0f ? x[i] : 0.0f;
+                want_add[i] = x[i] + y[i];
+            }
+            EXPECT_TRUE(bitIdentical(want_gelu, gelu(x), f.nanBits))
+                << count << " elements";
+            EXPECT_TRUE(bitIdentical(want_relu, relu(x), f.nanBits))
+                << count << " elements";
+            EXPECT_TRUE(bitIdentical(want_add, add(x, y), f.nanBits))
+                << count << " elements";
+
+            Tensor in_place = x;
+            geluInPlace(in_place);
+            EXPECT_TRUE(bitIdentical(want_gelu, in_place, f.nanBits));
+            in_place = x;
+            reluInPlace(in_place);
+            EXPECT_TRUE(bitIdentical(want_relu, in_place, f.nanBits));
+            in_place = x;
+            addInPlace(in_place, y);
+            EXPECT_TRUE(bitIdentical(want_add, in_place, f.nanBits));
+            // Add(x, x): the aliased operand is read before the write.
+            Tensor want_twice({count});
+            for (int64_t i = 0; i < count; ++i)
+                want_twice[i] = x[i] + x[i];
+            in_place = x;
+            addInPlace(in_place, in_place);
+            EXPECT_TRUE(bitIdentical(want_twice, in_place, f.nanBits));
+        }
+}
+
+TEST_P(ElementwiseParityTest, FusedEpilogueGeluMatchesGelu)
+{
+    // The fused conv epilogue and gelu() share one GELU expression.
+    Rng rng(107);
+    for (const NanFlavor &f : nanFlavors()) {
+        Tensor x = Tensor::randn({2, 5, 7, 9}, rng, 0.0f, 3.0f);
+        addSpecials(x, f.nan);
+        Tensor fused = x;
+        convEpilogueInPlace(fused, nullptr, nullptr, EpilogueAct::GELU);
+        Tensor want(x.shape());
+        for (int64_t i = 0; i < x.numel(); ++i)
+            want[i] = geluOracle(x[i]);
+        EXPECT_TRUE(bitIdentical(want, fused, f.nanBits));
+        EXPECT_TRUE(bitIdentical(want, gelu(x), f.nanBits));
+    }
+}
+
+class LayoutParityTest : public PoolThreadsTest
+{
+};
+
+/** Layout ops copy bits, so even a foreign NaN must survive exactly. */
+Tensor
+randnWithSpecials(const Shape &shape, Rng &rng)
+{
+    Tensor t = Tensor::randn(shape, rng);
+    addSpecials(t, std::nanf("7"));
+    return t;
+}
+
+TEST_P(LayoutParityTest, TransposesMatchIndexedLoops)
+{
+    // C and H*W off the 32-wide transpose tile, n > 1, a single token
+    // and a single channel, and the B2 stage-1 shape (576 x 256), which
+    // shards at 4 threads.
+    const Shape shapes[] = {{1, 3, 4, 5},   {2, 37, 5, 7},  {3, 33, 1, 1},
+                            {1, 1, 9, 11},  {2, 64, 6, 11}, {1, 256, 24, 24},
+                            {2, 70, 13, 3}};
+    Rng rng(109);
+    for (const Shape &s : shapes) {
+        Tensor x = randnWithSpecials(s, rng);
+        EXPECT_TRUE(bitIdentical(nchwToTokensOracle(x), nchwToTokens(x)))
+            << shapeToString(s);
+        Tensor tok = randnWithSpecials({s[0], s[2] * s[3], s[1]}, rng);
+        EXPECT_TRUE(bitIdentical(tokensToNchwOracle(tok, s[2], s[3]),
+                                 tokensToNchw(tok, s[2], s[3])))
+            << shapeToString(s);
+    }
+}
+
+TEST_P(LayoutParityTest, ConcatsMatchCopyLoops)
+{
+    Rng rng(113);
+    // Uneven channel counts (one of a single channel), H*W off 32, n > 1,
+    // and the B2 decoder concat (4 x 768 channels at 24 x 24).
+    const std::vector<std::vector<Shape>> channel_sets = {
+        {{1, 1, 2, 2}, {1, 2, 2, 2}},
+        {{2, 3, 5, 7}, {2, 37, 5, 7}, {2, 1, 5, 7}, {2, 12, 5, 7}},
+        {{3, 5, 1, 3}, {3, 0, 1, 3}, {3, 2, 1, 3}},
+        {{1, 768, 24, 24}, {1, 768, 24, 24}, {1, 768, 24, 24},
+         {1, 768, 24, 24}},
+    };
+    for (const std::vector<Shape> &set : channel_sets) {
+        std::vector<Tensor> parts;
+        std::vector<const Tensor *> ptrs;
+        for (const Shape &s : set)
+            parts.push_back(randnWithSpecials(s, rng));
+        for (const Tensor &t : parts)
+            ptrs.push_back(&t);
+        EXPECT_TRUE(bitIdentical(concatChannelsOracle(parts),
+                                 concatChannels(ptrs)))
+            << parts.size() << " parts, first " << shapeToString(set[0]);
+    }
+    const std::vector<std::vector<Shape>> token_sets = {
+        {{1, 1, 8}, {1, 49, 8}},
+        {{2, 5, 33}, {2, 17, 33}, {2, 1, 33}},
+        {{1, 4000, 70}, {1, 300, 70}},
+    };
+    for (const std::vector<Shape> &set : token_sets) {
+        std::vector<Tensor> parts;
+        std::vector<const Tensor *> ptrs;
+        for (const Shape &s : set)
+            parts.push_back(randnWithSpecials(s, rng));
+        for (const Tensor &t : parts)
+            ptrs.push_back(&t);
+        EXPECT_TRUE(bitIdentical(concatTokensOracle(parts),
+                                 concatTokens(ptrs)))
+            << parts.size() << " parts, first " << shapeToString(set[0]);
+    }
+}
+
+TEST_P(LayoutParityTest, NarrowAndPatchifyMatchIndexedLoops)
+{
+    Rng rng(127);
+    struct NarrowCase
+    {
+        Shape x;
+        int64_t keep;
+    };
+    // NCHW and token layouts, keeping none, some and all channels, and
+    // pruned-B2-sized tensors that shard at 4 threads.
+    const NarrowCase narrows[] = {
+        {{2, 7, 5, 3}, 4},     {{1, 5, 1, 1}, 5},   {{2, 6, 3, 3}, 0},
+        {{1, 768, 24, 24}, 512}, {{2, 9, 37}, 20},  {{13, 8}, 1},
+        {{1, 576, 1024}, 700},
+    };
+    for (const NarrowCase &tc : narrows) {
+        Tensor x = randnWithSpecials(tc.x, rng);
+        EXPECT_TRUE(
+            bitIdentical(narrowOracle(x, tc.keep), narrowChannels(x, tc.keep)))
+            << shapeToString(tc.x) << " keep " << tc.keep;
+    }
+    struct PatchCase
+    {
+        Shape x;
+        int64_t patch;
+    };
+    // Grids that divide exactly and ones whose remainder is dropped.
+    const PatchCase patches[] = {
+        {{1, 3, 8, 8}, 4}, {{2, 3, 10, 7}, 3}, {{1, 2, 5, 5}, 1},
+        {{1, 3, 224, 224}, 16},
+    };
+    for (const PatchCase &tc : patches) {
+        Tensor x = randnWithSpecials(tc.x, rng);
+        EXPECT_TRUE(bitIdentical(patchifyOracle(x, tc.patch),
+                                 patchify(x, tc.patch)))
+            << shapeToString(tc.x) << " patch " << tc.patch;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ElementwiseParityTest,
+                         ::testing::Values(1, 4));
+INSTANTIATE_TEST_SUITE_P(Threads, LayoutParityTest,
+                         ::testing::Values(1, 4));
 
 } // namespace
 } // namespace vitdyn

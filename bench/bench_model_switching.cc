@@ -58,12 +58,13 @@ reportSwitchLatency()
 {
     GpuLatencyModel gpu;
     AccuracyModel acc(PrunedModelKind::SegformerB2Ade);
+    WeightStore store;
+    PathCacheOptions options;
+    options.weightStore = &store;
     ModelSwitchingEngine engine(
         ModelFamily::Segformer, segformerTrainedVariants(),
         segformerAdePruneCatalog(), acc,
-        [&](const Graph &g) { return gpu.graphTimeMs(g); });
-    WeightStore store;
-    engine.setWeightStore(&store);
+        [&](const Graph &g) { return gpu.graphTimeMs(g); }, 1, options);
 
     // Cheapest, middle and most expensive frontier entries.
     const auto &entries = engine.lut().entries();
@@ -207,12 +208,13 @@ BM_SwitchCachedHit(benchmark::State &state)
 {
     GpuLatencyModel gpu;
     AccuracyModel acc(PrunedModelKind::SegformerB2Ade);
+    WeightStore store;
+    PathCacheOptions options;
+    options.weightStore = &store;
     ModelSwitchingEngine engine(
         ModelFamily::Segformer, segformerTrainedVariants(),
         segformerAdePruneCatalog(), acc,
-        [&](const Graph &g) { return gpu.graphTimeMs(g); });
-    WeightStore store;
-    engine.setWeightStore(&store);
+        [&](const Graph &g) { return gpu.graphTimeMs(g); }, 1, options);
     const auto choice = engine.select(
         engine.lut().entries().front().resourceCost * 1.0001);
     auto held = engine.acquireExecutor(choice); // warm the cache

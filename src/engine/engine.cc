@@ -1,6 +1,5 @@
 #include "engine/engine.hh"
 
-#include <chrono>
 #include <cmath>
 
 #include "analysis/lint.hh"
@@ -66,47 +65,33 @@ lintLutEntry(ModelFamily family, const SegformerConfig &seg_base,
 
 } // namespace
 
-void
-registerFullDims(const Graph &full_graph, Executor &executor)
-{
-    for (const Layer &layer : full_graph.layers()) {
-        switch (layer.kind) {
-          case LayerKind::Conv2d:
-            executor.setFullDims(layer.name, layer.attrs.outChannels,
-                                 layer.attrs.inChannels);
-            break;
-          case LayerKind::Linear:
-            executor.setFullDims(layer.name, layer.attrs.outFeatures,
-                                 layer.attrs.inFeatures);
-            break;
-          case LayerKind::LayerNorm:
-            executor.setFullDims(layer.name, 0, layer.attrs.inFeatures);
-            break;
-          case LayerKind::BatchNorm:
-            executor.setFullDims(layer.name, 0, layer.attrs.inChannels);
-            break;
-          default:
-            break;
-        }
-    }
-}
-
 DrtEngine::DrtEngine(ModelFamily family, const SegformerConfig &seg_base,
                      const SwinConfig &swin_base, AccuracyResourceLut lut,
                      uint64_t seed, DrtEngineOptions options)
     : lut_(std::move(lut)), family_(family), segBase_(seg_base),
-      swinBase_(swin_base), seed_(seed), options_(options),
+      swinBase_(swin_base),
       // The unpruned reference defines the shared weight dimensions.
       fullGraph_(family == ModelFamily::Segformer
                      ? buildSegformer(seg_base)
                      : buildSwin(swin_base)),
+      paths_(options, seed,
+             [this](size_t index) {
+                 const PruneConfig &config = lut_.entries()[index].config;
+                 return PathSource{
+                     config.label,
+                     family_ == ModelFamily::Segformer
+                         ? applySegformerPrune(segBase_, config)
+                         : applySwinPrune(swinBase_, config),
+                     &fullGraph_};
+             },
+             [this](Executor &executor) { configureExecutor(executor); }),
       quarantinedUntil_(lut_.entries().size(), 0),
       configVetoed_(lut_.entries().size(), false),
       certifiedPeakBytes_(lut_.entries().size(), 0)
 {
     vitdyn_assert(!lut_.empty(), "DrtEngine needs a non-empty LUT");
 
-    if (options_.lint.enabled) {
+    if (options.lint.enabled) {
         static Counter &checked = MetricsRegistry::instance().counter(
             "lint.configs_checked");
         static Counter &vetoes = MetricsRegistry::instance().counter(
@@ -117,7 +102,7 @@ DrtEngine::DrtEngine(ModelFamily family, const SegformerConfig &seg_base,
             const LutEntry &entry = lut_.entries()[i];
             Status verdict =
                 lintLutEntry(family_, segBase_, swinBase_, entry,
-                             options_.lint, &certifiedPeakBytes_[i]);
+                             options.lint, &certifiedPeakBytes_[i]);
             if (verdict) {
                 ++alive;
                 continue;
@@ -131,15 +116,15 @@ DrtEngine::DrtEngine(ModelFamily family, const SegformerConfig &seg_base,
                       "DrtEngine: every LUT config failed lint");
     }
 
-    if (options_.prewarm) {
+    if (options.prewarm) {
         // Materialize cheapest-first so a bounded cache retains the
         // configs a tight budget will actually request. Vetoed configs
         // are never materialized.
         ScopedSpan span(Tracer::instance(), "engine.prewarm", "engine");
         const size_t n = lut_.entries().size();
-        const size_t keep = options_.executorCacheCapacity == 0
+        const size_t keep = options.executorCacheCapacity == 0
                                 ? n
-                                : std::min(n, options_.executorCacheCapacity);
+                                : std::min(n, options.executorCacheCapacity);
         size_t warmed = 0;
         for (size_t i = 0; i < n && warmed < keep; ++i) {
             if (configVetoed_[i])
@@ -198,7 +183,6 @@ void
 DrtEngine::configureExecutor(Executor &executor) const
 {
     executor.setHealthChecks(resilience_.health);
-    executor.setConvAutotune(options_.convAutotune);
     if (injector_) {
         executor.setPostLayerHook(
             [this](const Layer &layer, Tensor &out) {
@@ -210,84 +194,13 @@ DrtEngine::configureExecutor(Executor &executor) const
     }
 }
 
-DrtEngine::Path &
+std::shared_ptr<MaterializedPath>
 DrtEngine::acquirePath(size_t index) const
 {
     vitdyn_assert(index < lut_.entries().size(), "LUT/path desync");
     vitdyn_assert(!configVetoed_[index],
                   "acquirePath on a lint-vetoed config");
-
-    // References cached once: registration locks, increments do not.
-    static Counter &hits =
-        MetricsRegistry::instance().counter("engine.executor_cache_hits");
-    static Counter &misses = MetricsRegistry::instance().counter(
-        "engine.executor_cache_misses");
-    static Histogram &switch_ms =
-        MetricsRegistry::instance().histogram("engine.switch_ms");
-
-    ++useTick_;
-    if (auto it = paths_.find(index); it != paths_.end()) {
-        hits.add();
-        it->second.lastUsed = useTick_;
-        return it->second;
-    }
-
-    misses.add();
-    const LutEntry &entry = lut_.entries()[index];
-    const auto t0 = std::chrono::steady_clock::now();
-    ScopedSpan span(Tracer::instance(), "engine.materialize", "engine");
-    span.arg("path", entry.config.label);
-
-    Path path;
-    path.graph = std::make_unique<Graph>(
-        family_ == ModelFamily::Segformer
-            ? applySegformerPrune(segBase_, entry.config)
-            : applySwinPrune(swinBase_, entry.config));
-    if (options_.passPipeline) {
-        // Rewrite before the executor binds to the graph: fusion and
-        // folding change the layer list, and the executor's per-layer
-        // plans (conv workspaces, liveness) must see the final form.
-        PassManager pipeline =
-            PassManager::standardPipeline(options_.passOptions);
-        Result<PipelineReport> rewritten = pipeline.run(*path.graph);
-        if (rewritten) {
-            span.arg("pass_rewrites", static_cast<int64_t>(
-                                          rewritten.value().totalRewrites()));
-        } else {
-            // Transactional pipeline: the graph holds the last
-            // lint-clean state, so the path stays servable.
-            warn("DRT path '", entry.config.label,
-                 "' pass pipeline failed (serving partially "
-                 "rewritten): ",
-                 rewritten.status().message());
-        }
-    }
-    path.executor = std::make_unique<Executor>(*path.graph, seed_,
-                                               options_.weightStore);
-    registerFullDims(fullGraph_, *path.executor);
-    configureExecutor(*path.executor);
-    // Synthesize (or fetch from the store) every weight now, so the
-    // first frame on this path pays no lazy-synthesis stall and
-    // switch_ms reflects the true cost of readying the path.
-    path.executor->warmupWeights();
-    path.lastUsed = useTick_;
-
-    if (options_.executorCacheCapacity > 0) {
-        while (paths_.size() >= options_.executorCacheCapacity &&
-               !paths_.empty()) {
-            auto victim = paths_.begin();
-            for (auto it = paths_.begin(); it != paths_.end(); ++it)
-                if (it->second.lastUsed < victim->second.lastUsed)
-                    victim = it;
-            paths_.erase(victim);
-        }
-    }
-
-    Path &slot = paths_[index] = std::move(path);
-    switch_ms.observe(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
-    return slot;
+    return paths_.acquire(index);
 }
 
 bool
@@ -342,16 +255,14 @@ DrtEngine::setResilience(const EngineResilienceConfig &config)
     vitdyn_assert(config.probationFrames >= 1,
                   "probationFrames must be >= 1");
     resilience_ = config;
-    for (auto &[index, path] : paths_)
-        path.executor->setHealthChecks(config.health);
+    paths_.reconfigure();
 }
 
 void
 DrtEngine::setFaultInjector(FaultInjector *injector)
 {
     injector_ = injector;
-    for (auto &[index, path] : paths_)
-        configureExecutor(*path.executor);
+    paths_.reconfigure();
 }
 
 size_t
@@ -421,134 +332,28 @@ DrtEngine::select(double resource_budget, bool *met) const
 }
 
 DrtResult
-DrtEngine::runPath(size_t index, const Tensor &image)
+DrtEngine::runPath(size_t index, const Tensor &image,
+                   std::string *health_summary)
 {
-    vitdyn_assert(index < lut_.entries().size(), "LUT/path desync");
     const LutEntry &entry = lut_.entries()[index];
 
     ScopedSpan span(Tracer::instance(), "drt.execute", "engine");
     span.arg("path", entry.config.label);
 
-    Path &path = acquirePath(index);
+    std::shared_ptr<MaterializedPath> path = acquirePath(index);
 
     DrtResult result;
-    result.output = path.executor->runSimple(image);
+    result.output = path->executor->runSimple(image);
     result.configLabel = entry.config.label;
     result.accuracyEstimate = entry.accuracyEstimate;
     result.resourceCost = entry.resourceCost;
-    if (resilience_.health.enabled)
-        result.healthy = path.executor->lastHealthReport().healthy;
+    if (resilience_.health.enabled) {
+        const HealthReport &report = path->executor->lastHealthReport();
+        result.healthy = report.healthy;
+        if (!result.healthy)
+            *health_summary = report.summary();
+    }
     span.arg("healthy", result.healthy);
-    return result;
-}
-
-DrtResult
-DrtEngine::infer(const Tensor &image, double resource_budget)
-{
-    Tracer &tracer = Tracer::instance();
-    const uint64_t t0 = tracer.now();
-    ScopedSpan frame_span(tracer, "drt.infer", "engine");
-
-    DrtResult result = inferImpl(image, resource_budget);
-
-    MetricsRegistry &metrics = MetricsRegistry::instance();
-    static Counter &frames = metrics.counter("drt.frames");
-    static Counter &retries = metrics.counter("drt.retries");
-    static Counter &misses = metrics.counter("drt.budget_misses");
-    static Counter &unhealthy = metrics.counter("drt.unhealthy_frames");
-    static Counter &degraded = metrics.counter("drt.degraded_frames");
-    static Histogram &latency =
-        metrics.histogram("drt.frame_latency_ms");
-    frames.add();
-    retries.add(static_cast<uint64_t>(result.retries));
-    if (!result.budgetMet)
-        misses.add();
-    if (!result.healthy)
-        unhealthy.add();
-    if (result.degraded)
-        degraded.add();
-    latency.observe(static_cast<double>(tracer.now() - t0) / 1e6);
-
-    if (frame_span.active()) {
-        frame_span.arg("frame", static_cast<uint64_t>(frame_));
-        frame_span.arg("budget", resource_budget);
-        frame_span.arg("config", result.configLabel);
-        frame_span.arg("budget_met", result.budgetMet);
-        frame_span.arg("healthy", result.healthy);
-        frame_span.arg("degraded", result.degraded);
-        frame_span.arg("retries", result.retries);
-        frame_span.arg("quarantined",
-                       static_cast<uint64_t>(result.quarantinedPaths));
-    }
-    return result;
-}
-
-DrtResult
-DrtEngine::inferImpl(const Tensor &image, double resource_budget)
-{
-    ++frame_;
-    Tracer &tracer = Tracer::instance();
-
-    bool met = false;
-    size_t first_choice;
-    {
-        ScopedSpan select_span(tracer, "drt.select", "engine");
-        first_choice = lookupIndex(resource_budget, &met);
-        select_span.arg("budget", resource_budget);
-        select_span.arg(
-            "path", lut_.entries()[first_choice].config.label);
-    }
-
-    if (!resilience_.enabled) {
-        // Still veto-aware: a lint-vetoed first choice is replaced by
-        // the best servable path (lookupHealthyIndex degenerates to a
-        // veto-only filter here, since nothing enters probation).
-        size_t index = lookupHealthyIndex(resource_budget, &met);
-        DrtResult result = runPath(index, image);
-        result.budgetMet = met;
-        result.degraded = index != first_choice;
-        result.quarantinedPaths = numQuarantined();
-        return result;
-    }
-
-    static Counter &quarantines =
-        MetricsRegistry::instance().counter("drt.quarantine_entries");
-
-    size_t index = lookupHealthyIndex(resource_budget, &met);
-    DrtResult result;
-    int attempts = 0;
-    while (true) {
-        result = runPath(index, image);
-        if (result.healthy || attempts >= resilience_.maxRetries)
-            break;
-        // Quarantine the offending path for the probation window and
-        // fall back to the next-best healthy Pareto entry.
-        quarantinedUntil_[index] =
-            frame_ + static_cast<uint64_t>(resilience_.probationFrames);
-        quarantines.add();
-        tracer.instant("drt.quarantine", "engine");
-        warn("DRT path '", result.configLabel,
-             "' failed health checks (",
-             acquirePath(index).executor->lastHealthReport().summary(),
-             "); quarantined for ", resilience_.probationFrames,
-             " frames");
-        ++attempts;
-        index = lookupHealthyIndex(resource_budget, &met);
-    }
-
-    if (!result.healthy) {
-        // Retries exhausted: deliver best effort, but keep the failing
-        // path out of rotation so the next frame tries elsewhere.
-        quarantinedUntil_[index] =
-            frame_ + static_cast<uint64_t>(resilience_.probationFrames);
-        quarantines.add();
-        tracer.instant("drt.quarantine", "engine");
-    }
-
-    result.budgetMet = met;
-    result.retries = attempts;
-    result.degraded = index != first_choice;
-    result.quarantinedPaths = numQuarantined();
     return result;
 }
 
@@ -562,16 +367,157 @@ DrtEngine::allServableQuarantined() const
 }
 
 Result<DrtResult>
+DrtEngine::serveImage(const Tensor &image, double resource_budget,
+                      Deadline deadline, RequestContext *ctx,
+                      int &attempts, bool best_effort)
+{
+    MetricsRegistry &metrics = MetricsRegistry::instance();
+    static Counter &frames = metrics.counter("drt.frames");
+    static Counter &retries = metrics.counter("drt.retries");
+    static Counter &misses = metrics.counter("drt.budget_misses");
+    static Counter &unhealthy = metrics.counter("drt.unhealthy_frames");
+    static Counter &degraded = metrics.counter("drt.degraded_frames");
+    static Counter &deadline_misses =
+        metrics.counter("drt.deadline_exceeded");
+    static Counter &quarantine_rejects =
+        metrics.counter("drt.quarantine_rejects");
+    static Counter &quarantines =
+        metrics.counter("drt.quarantine_entries");
+    static Histogram &latency =
+        metrics.histogram("drt.frame_latency_ms");
+
+    if (deadlineExpired(deadline)) {
+        deadline_misses.add();
+        return Status::error(StatusCode::DeadlineExceeded,
+                             "deadline expired before execution");
+    }
+
+    // Every image that reaches the engine is a frame, whether it runs
+    // or is turned away: a quarantined path sits it out either way,
+    // so probation ends even while nothing is servable.
+    ++frame_;
+    Tracer &tracer = Tracer::instance();
+    const uint64_t t0 = tracer.now();
+    ScopedSpan frame_span(tracer, "drt.infer", "engine");
+    if (frame_span.active()) {
+        frame_span.arg("frame", static_cast<uint64_t>(frame_));
+        frame_span.arg("budget", resource_budget);
+    }
+
+    bool met = false;
+    size_t first_choice;
+    {
+        ScopedSpan select_span(tracer, "drt.select", "engine");
+        first_choice = lookupIndex(resource_budget, &met);
+        select_span.arg("budget", resource_budget);
+        select_span.arg(
+            "path", lut_.entries()[first_choice].config.label);
+    }
+
+    auto quarantine = [&](size_t index) {
+        quarantinedUntil_[index] =
+            frame_ + static_cast<uint64_t>(resilience_.probationFrames);
+        quarantines.add();
+        tracer.instant("drt.quarantine", "engine");
+    };
+
+    // Without resilience nothing enters probation and the first run is
+    // final; lookupHealthyIndex then only steps around lint vetoes.
+    Status failure;
+    if (!best_effort && allServableQuarantined())
+        failure = Status::error(
+            StatusCode::Quarantined,
+            "every servable execution path is quarantined");
+    size_t index = lookupHealthyIndex(resource_budget, &met);
+    const int attempts_before = attempts;
+    DrtResult result;
+    while (failure.isOk()) {
+        std::string health;
+        result = runPath(index, image, &health);
+        if (result.healthy || !resilience_.enabled ||
+            attempts >= resilience_.maxRetries)
+            break;
+        // Quarantine the offending path for the probation window and
+        // fall back to the next-best healthy Pareto entry.
+        quarantine(index);
+        warn("DRT path '", result.configLabel, "' failed health checks (",
+             health, "); quarantined for ", resilience_.probationFrames,
+             " frames");
+        ++attempts;
+        if (!best_effort && allServableQuarantined())
+            failure = Status::error(
+                StatusCode::Quarantined,
+                "quarantine reroute exhausted every servable "
+                "execution path");
+        else if (deadlineExpired(deadline))
+            failure = Status::error(
+                StatusCode::DeadlineExceeded,
+                "deadline expired during quarantine reroute");
+        else
+            index = lookupHealthyIndex(resource_budget, &met);
+    }
+    if (!failure.isOk()) {
+        if (failure.code() == StatusCode::Quarantined)
+            quarantine_rejects.add();
+        else
+            deadline_misses.add();
+        return failure;
+    }
+    if (!result.healthy && resilience_.enabled) {
+        // Retries exhausted: deliver best effort, but keep the failing
+        // path out of rotation so the next frame tries elsewhere.
+        quarantine(index);
+    }
+    result.budgetMet = met;
+    result.retries = attempts - attempts_before;
+    result.degraded = index != first_choice;
+    result.quarantinedPaths = numQuarantined();
+
+    frames.add();
+    retries.add(static_cast<uint64_t>(result.retries));
+    if (!result.budgetMet)
+        misses.add();
+    if (!result.healthy)
+        unhealthy.add();
+    if (result.degraded)
+        degraded.add();
+    const uint64_t engine_ns = tracer.now() - t0;
+    if (ctx) {
+        ctx->setEngineNs(engine_ns);
+        ctx->setConfigLabel(result.configLabel);
+    }
+    latency.observe(static_cast<double>(engine_ns) / 1e6);
+
+    if (frame_span.active()) {
+        frame_span.arg("config", result.configLabel);
+        frame_span.arg("budget_met", result.budgetMet);
+        frame_span.arg("healthy", result.healthy);
+        frame_span.arg("degraded", result.degraded);
+        frame_span.arg("retries", result.retries);
+        frame_span.arg("quarantined",
+                       static_cast<uint64_t>(result.quarantinedPaths));
+    }
+    return result;
+}
+
+DrtResult
+DrtEngine::infer(const Tensor &image, double resource_budget)
+{
+    int attempts = 0;
+    Result<DrtResult> result =
+        serveImage(image, resource_budget, Deadline{}, nullptr, attempts,
+                   /*best_effort=*/true);
+    vitdyn_assert(result.isOk(), "best-effort inference cannot fail");
+    return result.take();
+}
+
+Result<DrtResult>
 DrtEngine::tryInfer(const Tensor &image, double resource_budget,
                     Deadline deadline)
 {
-    std::vector<Deadline> deadlines;
-    if (deadlineSet(deadline))
-        deadlines.push_back(deadline);
-    std::vector<Result<DrtResult>> out =
-        tryInferBatch({image}, resource_budget, deadlines);
-    vitdyn_assert(out.size() == 1, "single-image batch desync");
-    return std::move(out.front());
+    int attempts = 0;
+    return serveImage(image, resource_budget, deadline, nullptr, attempts,
+                      /*best_effort=*/false);
 }
 
 std::vector<Result<DrtResult>>
@@ -587,25 +533,9 @@ DrtEngine::tryInferBatch(const std::vector<Tensor> &images,
                       contexts.size() == images.size(),
                   "contexts must be empty or parallel to images");
 
-    MetricsRegistry &metrics = MetricsRegistry::instance();
-    static Counter &frames = metrics.counter("drt.frames");
-    static Counter &retries_total = metrics.counter("drt.retries");
-    static Counter &misses = metrics.counter("drt.budget_misses");
-    static Counter &unhealthy = metrics.counter("drt.unhealthy_frames");
-    static Counter &degraded = metrics.counter("drt.degraded_frames");
-    static Counter &deadline_misses =
-        metrics.counter("drt.deadline_exceeded");
-    static Counter &quarantine_rejects =
-        metrics.counter("drt.quarantine_rejects");
-    static Counter &quarantines =
-        metrics.counter("drt.quarantine_entries");
-    static Histogram &latency =
-        metrics.histogram("drt.frame_latency_ms");
-    static Histogram &batch_size = metrics.histogram(
+    static Histogram &batch_size = MetricsRegistry::instance().histogram(
         "drt.batch_size", {1, 2, 4, 8, 16, 32, 64, 128});
-
-    Tracer &tracer = Tracer::instance();
-    ScopedSpan span(tracer, "drt.infer_batch", "engine");
+    ScopedSpan span(Tracer::instance(), "drt.infer_batch", "engine");
     if (span.active()) {
         span.arg("batch", static_cast<uint64_t>(images.size()));
         span.arg("budget", resource_budget);
@@ -614,109 +544,20 @@ DrtEngine::tryInferBatch(const std::vector<Tensor> &images,
 
     std::vector<Result<DrtResult>> out;
     out.reserve(images.size());
-
-    bool met = false;
-    const size_t first_choice = lookupIndex(resource_budget, &met);
     // One reroute budget for the whole dispatch: a batch is a single
     // engine interaction, so a flapping path cannot consume
     // maxRetries extra executions per image.
     int attempts = 0;
-
     for (size_t i = 0; i < images.size(); ++i) {
         // Per-image ambient attribution: layer spans and pool shards
         // executed for this image tag themselves with the request id
         // and report into its breakdown. Nullptr scopes are no-ops.
-        RequestContext *ctx =
-            contexts.empty() ? nullptr : contexts[i];
+        RequestContext *ctx = contexts.empty() ? nullptr : contexts[i];
         RequestScope request_scope(ctx);
-        const Deadline d = deadlines.empty() ? Deadline{} : deadlines[i];
-        if (deadlineExpired(d)) {
-            deadline_misses.add();
-            out.emplace_back(Status::error(
-                StatusCode::DeadlineExceeded,
-                "deadline expired before execution"));
-            continue;
-        }
-        if (allServableQuarantined()) {
-            quarantine_rejects.add();
-            out.emplace_back(Status::error(
-                StatusCode::Quarantined,
-                "every servable execution path is quarantined"));
-            continue;
-        }
-
-        ++frame_;
-        const uint64_t t0 = tracer.now();
-        const int attempts_before = attempts;
-        bool img_met = false;
-        size_t index = lookupHealthyIndex(resource_budget, &img_met);
-        DrtResult r;
-        Status failure;
-        while (true) {
-            r = runPath(index, images[i]);
-            if (r.healthy || !resilience_.enabled ||
-                attempts >= resilience_.maxRetries)
-                break;
-            quarantinedUntil_[index] =
-                frame_ +
-                static_cast<uint64_t>(resilience_.probationFrames);
-            quarantines.add();
-            tracer.instant("drt.quarantine", "engine");
-            warn("DRT path '", r.configLabel,
-                 "' failed health checks mid-batch; quarantined for ",
-                 resilience_.probationFrames,
-                 " frames, rerouting in-flight requests");
-            ++attempts;
-            if (allServableQuarantined()) {
-                quarantine_rejects.add();
-                failure = Status::error(
-                    StatusCode::Quarantined,
-                    "quarantine reroute exhausted every servable "
-                    "execution path");
-                break;
-            }
-            if (deadlineExpired(d)) {
-                deadline_misses.add();
-                failure = Status::error(
-                    StatusCode::DeadlineExceeded,
-                    "deadline expired during quarantine reroute");
-                break;
-            }
-            index = lookupHealthyIndex(resource_budget, &img_met);
-        }
-        if (!failure.isOk()) {
-            out.emplace_back(failure);
-            continue;
-        }
-        if (!r.healthy && resilience_.enabled) {
-            // Retry budget spent: deliver best effort, but keep the
-            // failing path out of rotation (inferImpl semantics).
-            quarantinedUntil_[index] =
-                frame_ +
-                static_cast<uint64_t>(resilience_.probationFrames);
-            quarantines.add();
-            tracer.instant("drt.quarantine", "engine");
-        }
-        r.budgetMet = img_met;
-        r.retries = attempts - attempts_before;
-        r.degraded = index != first_choice;
-        r.quarantinedPaths = numQuarantined();
-
-        frames.add();
-        retries_total.add(static_cast<uint64_t>(r.retries));
-        if (!r.budgetMet)
-            misses.add();
-        if (!r.healthy)
-            unhealthy.add();
-        if (r.degraded)
-            degraded.add();
-        const uint64_t engine_ns = tracer.now() - t0;
-        if (ctx) {
-            ctx->setEngineNs(engine_ns);
-            ctx->setConfigLabel(r.configLabel);
-        }
-        latency.observe(static_cast<double>(engine_ns) / 1e6);
-        out.emplace_back(std::move(r));
+        out.push_back(serveImage(
+            images[i], resource_budget,
+            deadlines.empty() ? Deadline{} : deadlines[i], ctx, attempts,
+            /*best_effort=*/false));
     }
     return out;
 }
@@ -726,7 +567,7 @@ DrtEngine::pathGraph(size_t index) const
 {
     vitdyn_assert(index < lut_.entries().size(),
                   "path index out of range");
-    return *acquirePath(index).graph;
+    return acquirePath(index)->graph;
 }
 
 Executor &
@@ -734,7 +575,7 @@ DrtEngine::pathExecutor(size_t index)
 {
     vitdyn_assert(index < lut_.entries().size(),
                   "path index out of range");
-    return *acquirePath(index).executor;
+    return *acquirePath(index)->executor;
 }
 
 } // namespace vitdyn

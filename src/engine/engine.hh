@@ -35,9 +35,8 @@
 #include <vector>
 
 #include "engine/lut.hh"
+#include "engine/path_cache.hh"
 #include "fault/fault.hh"
-#include "graph/executor.hh"
-#include "graph/passes/pass.hh"
 #include "resilience/sweep.hh"
 #include "util/deadline.hh"
 #include "util/status.hh"
@@ -116,19 +115,13 @@ struct DrtLintOptions
     size_t memoryBudgetBytes = 0;
 };
 
-/** Materialization policy for DrtEngine execution paths. */
-struct DrtEngineOptions
+/**
+ * DrtEngine options: the shared path-cache policy (capacity, weight
+ * store, pass pipeline, conv autotune) plus prewarm and the load-time
+ * lint gate.
+ */
+struct DrtEngineOptions : PathCacheOptions
 {
-    /**
-     * Max execution paths kept materialized (graph + executor + conv
-     * workspaces). 0 means unbounded — every path used stays resident,
-     * the historical behavior. A bounded cache evicts the
-     * least-recently-run path; note eviction also discards any
-     * persistent weight damage injected into that path's executor
-     * (the replacement re-reads pristine store weights).
-     */
-    size_t executorCacheCapacity = 0;
-
     /**
      * Materialize every Pareto-frontier path (and synthesize its
      * weights through the store) at engine construction, so the first
@@ -137,38 +130,8 @@ struct DrtEngineOptions
      */
     bool prewarm = true;
 
-    /** Weight store for all paths; nullptr = process-wide instance. */
-    WeightStore *weightStore = nullptr;
-
     /** Config lint gate (see DrtLintOptions). */
     DrtLintOptions lint;
-
-    /**
-     * Run the standard rewrite pipeline (graph/passes/) over every
-     * path graph as it materializes: conv+BN+activation fusion,
-     * no-op folding, dead-layer elimination and in-place reuse
-     * annotation. Execution stays bit-identical to the unrewritten
-     * graph; only intermediate materializations go away. A pipeline
-     * failure on one path is logged and that path runs with however
-     * far the transactional pipeline got (always lint-clean) — it is
-     * never a serving outage.
-     */
-    bool passPipeline = false;
-
-    /** Lint/preserve configuration for the pass pipeline's gates. */
-    PassOptions passOptions;
-
-    /**
-     * Measured conv execution-plan autotuning, applied to every
-     * path's executor at materialization (see
-     * tensor/kernels/conv_autotune.hh). Enabled by default: the tuner
-     * only enumerates exact-flavor plans, so the choice never changes
-     * outputs, and shapes are measured once per process (tiny layers
-     * are not measured at all). Set convAutotune.enabled = false to
-     * fall back to the static Auto heuristic everywhere — the CI
-     * determinism knob.
-     */
-    ConvAutotuneOptions convAutotune = {/*enabled=*/true};
 };
 
 /** DRT inference engine over one pretrained model and one LUT. */
@@ -195,6 +158,10 @@ class DrtEngine
               const SwinConfig &swin_base, AccuracyResourceLut lut,
               uint64_t seed = 1, DrtEngineOptions options = {});
 
+    // Path-cache and executor hooks refer back to this engine.
+    DrtEngine(const DrtEngine &) = delete;
+    DrtEngine &operator=(const DrtEngine &) = delete;
+
     /**
      * Validating factory for long-running deployments: returns a
      * recoverable error (instead of aborting) when the LUT is empty
@@ -212,13 +179,15 @@ class DrtEngine
     const LutEntry &select(double resource_budget, bool *met) const;
 
     /**
-     * Run one dynamic inference (self-healing when enabled). Emits a
-     * per-frame "drt.infer" span (budget, chosen path, retries,
-     * health) nesting the per-layer executor spans, and feeds the
-     * process-wide metrics registry: drt.frames, drt.retries,
-     * drt.budget_misses, drt.unhealthy_frames, drt.degraded_frames,
-     * drt.quarantine_entries counters plus the drt.frame_latency_ms
-     * histogram (p50/p95/p99).
+     * Run one dynamic inference (self-healing when enabled). Never
+     * fails: when every servable path is in probation it still runs
+     * the best-effort path (the cheapest non-vetoed one) and reports
+     * it through DrtResult::healthy. Emits a per-frame "drt.infer"
+     * span (budget, chosen path, retries, health) nesting the
+     * per-layer executor spans, and feeds the process-wide metrics
+     * registry: drt.frames, drt.retries, drt.budget_misses,
+     * drt.unhealthy_frames, drt.degraded_frames, drt.quarantine_entries
+     * counters plus the drt.frame_latency_ms histogram (p50/p95/p99).
      */
     DrtResult infer(const Tensor &image, double resource_budget);
 
@@ -232,6 +201,8 @@ class DrtEngine
      *    is executed for it;
      *  - StatusCode::Quarantined — every path that could serve the
      *    request is out of rotation (lint veto or health probation).
+     *    The turned-away request still counts as a frame that the
+     *    quarantined paths sat out, so probation always ends.
      * On success the DrtResult is exactly what infer() would have
      * produced, including the degraded/retries reroute accounting.
      */
@@ -242,11 +213,11 @@ class DrtEngine
     /**
      * One dynamic-batch dispatch: every image runs on the single
      * execution path selected for @p resource_budget (the serve/
-     * scheduler groups compatible requests up front), through one
-     * executor acquire on the WeightStore-backed LRU. Per-image
-     * outcomes: a mid-batch health failure quarantines the path and
-     * reroutes the remaining images to the next healthy config
-     * (bounded by the resilience maxRetries budget across the batch);
+     * scheduler groups compatible requests up front), warm in the
+     * shared path cache. Per-image outcomes: a mid-batch health
+     * failure quarantines the path and reroutes the remaining images
+     * to the next healthy config (bounded by the resilience
+     * maxRetries budget across the batch);
      * an image whose entry in @p deadlines (parallel to @p images;
      * empty = no deadlines) expires before it runs gets
      * StatusCode::DeadlineExceeded and never executes.
@@ -265,13 +236,14 @@ class DrtEngine
 
     /**
      * True when no path is currently servable: every non-vetoed
-     * config is in health probation (or everything is vetoed). The
-     * admission controller's signal to reject instead of queue.
+     * config is in health probation (or everything is vetoed), so
+     * tryInfer/tryInferBatch answer StatusCode::Quarantined.
      */
     bool allServableQuarantined() const;
 
-    /** Install the degradation policy; propagates the health-check
-     *  config to every path executor. */
+    /** Install the degradation policy; re-applies the per-executor
+     *  configuration (health checks, injector hook) to every resident
+     *  path. */
     void setResilience(const EngineResilienceConfig &config);
 
     const EngineResilienceConfig &resilience() const
@@ -331,25 +303,26 @@ class DrtEngine
     size_t numMaterializedPaths() const { return paths_.size(); }
 
   private:
-    struct Path
-    {
-        std::unique_ptr<Graph> graph;
-        std::unique_ptr<Executor> executor;
-        uint64_t lastUsed = 0; ///< LRU tick of the last acquire.
-    };
+    /** The materialized path for LUT entry @p index (see PathCache). */
+    std::shared_ptr<MaterializedPath> acquirePath(size_t index) const;
 
     /**
-     * The materialized path for LUT entry @p index: cache hit updates
-     * recency; miss builds the pruned graph, its executor (shared
-     * store weights, eagerly warmed), applies the current resilience
-     * and injector hooks, and evicts the least-recently-used path
-     * beyond capacity. Feeds engine.executor_cache_hits/misses and
-     * the engine.switch_ms histogram.
+     * The one per-image inference loop behind infer, tryInfer and
+     * tryInferBatch. An image whose deadline @p deadline expired never
+     * runs (DeadlineExceeded). Every other image advances the
+     * probation clock, then runs on the best healthy path for the
+     * budget; an unhealthy output quarantines its path and retries on
+     * the next-best one while @p attempts (the dispatch's shared
+     * reroute count) stays below maxRetries. When nothing servable is
+     * left, a serving caller gets StatusCode::Quarantined; with
+     * @p best_effort (infer) the loop keeps running lookupHealthyIndex's
+     * pick instead. The only place that feeds the drt.* metrics and
+     * emits the per-frame "drt.infer" span.
      */
-    Path &acquirePath(size_t index) const;
-
-    /** infer() body; the public wrapper adds telemetry around it. */
-    DrtResult inferImpl(const Tensor &image, double resource_budget);
+    Result<DrtResult> serveImage(const Tensor &image,
+                                 double resource_budget,
+                                 Deadline deadline, RequestContext *ctx,
+                                 int &attempts, bool best_effort);
 
     /** Index of the best entry within budget, lookup() semantics. */
     size_t lookupIndex(double resource_budget, bool *met) const;
@@ -361,8 +334,13 @@ class DrtEngine
      */
     size_t lookupHealthyIndex(double resource_budget, bool *met) const;
 
-    /** Execute one prepared path (applies injector via the hook). */
-    DrtResult runPath(size_t index, const Tensor &image);
+    /** Execute one prepared path (applies injector via the hook). On
+     *  an unhealthy output, @p health_summary gets the report. */
+    DrtResult runPath(size_t index, const Tensor &image,
+                      std::string *health_summary);
+
+    /** Take path @p index out of rotation for the probation window. */
+    void quarantine(size_t index);
 
     /** (Re)attach health config + injector hook to an executor. */
     void configureExecutor(Executor &executor) const;
@@ -371,12 +349,9 @@ class DrtEngine
     ModelFamily family_;
     SegformerConfig segBase_;
     SwinConfig swinBase_;
-    uint64_t seed_;
-    DrtEngineOptions options_;
     Graph fullGraph_; ///< Unpruned reference for shared weight dims.
-    /** Materialized paths keyed by LUT index (see acquirePath). */
-    mutable std::map<size_t, Path> paths_;
-    mutable uint64_t useTick_ = 0; ///< LRU clock for paths_.
+    /** Materialized paths keyed by LUT index. */
+    mutable PathCache paths_;
     /** Quarantine deadlines, parallel to lut_.entries() — kept apart
      *  from the path cache so probation survives eviction. */
     std::vector<uint64_t> quarantinedUntil_;
@@ -388,15 +363,10 @@ class DrtEngine
     std::vector<size_t> certifiedPeakBytes_;
     EngineResilienceConfig resilience_;
     FaultInjector *injector_ = nullptr;
-    uint64_t frame_ = 0; ///< Monotonic inference counter.
+    /** Probation clock: one tick per image that is run or turned
+     *  away as Quarantined. */
+    uint64_t frame_ = 0;
 };
-
-/**
- * Register the full (unpruned) layer dimensions of @p full_graph on
- * @p executor so a pruned graph's executor slices the same weights
- * (the paper's "same model weights" property).
- */
-void registerFullDims(const Graph &full_graph, Executor &executor);
 
 } // namespace vitdyn
 

@@ -1,10 +1,6 @@
 #include "engine/model_switching.hh"
 
-#include <chrono>
-
-#include "engine/engine.hh"
 #include "obs/metrics.hh"
-#include "obs/span.hh"
 #include "util/logging.hh"
 
 namespace vitdyn
@@ -13,9 +9,20 @@ namespace vitdyn
 ModelSwitchingEngine::ModelSwitchingEngine(
     ModelFamily family, std::vector<TrainedVariant> variants,
     const std::vector<PruneConfig> &candidates,
-    const AccuracyModel &accuracy, const GraphCostFn &cost)
+    const AccuracyModel &accuracy, const GraphCostFn &cost, uint64_t seed,
+    PathCacheOptions options)
     : family_(family), variants_(std::move(variants)),
-      candidates_(candidates)
+      candidates_(candidates),
+      cache_(std::move(options), seed, [this](size_t key) {
+          // Pruned paths slice the reference variant's full weights —
+          // the paper's shared-weight property. Trained variants are
+          // their own full models.
+          const bool trained = key < variants_.size();
+          return PathSource{
+              trained ? kTrainedPrefix + variants_[key].name
+                      : candidates_[key - variants_.size()].label,
+              buildKey(key), trained ? nullptr : &referenceFull_};
+      })
 {
     vitdyn_assert(!variants_.empty(),
                   "need at least the reference variant");
@@ -53,19 +60,14 @@ ModelSwitchingEngine::ModelSwitchingEngine(
 
     // Trained variants as additional points; their accuracy comes
     // from the published numbers, not the pruning accuracy model.
-    const double ref_cost =
-        cost(family_ == ModelFamily::Segformer
-                 ? buildSegformer(variants_[0].segConfig)
-                 : buildSwin(variants_[0].swinConfig));
-    for (const TrainedVariant &variant : variants_) {
-        Graph g = family_ == ModelFamily::Segformer
-                      ? buildSegformer(variant.segConfig)
-                      : buildSwin(variant.swinConfig);
+    referenceFull_ = buildKey(0);
+    const double ref_cost = cost(referenceFull_);
+    for (size_t i = 0; i < variants_.size(); ++i) {
         TradeoffPoint p;
-        p.config.label = std::string(kTrainedPrefix) + variant.name;
-        p.absoluteUtil = cost(g);
+        p.config.label = kTrainedPrefix + variants_[i].name;
+        p.absoluteUtil = i == 0 ? ref_cost : cost(buildKey(i));
         p.normalizedUtil = p.absoluteUtil / ref_cost;
-        p.normalizedMiou = variant.normalizedMiou;
+        p.normalizedMiou = variants_[i].normalizedMiou;
         points.push_back(std::move(p));
     }
 
@@ -109,148 +111,43 @@ ModelSwitchingEngine::switchoverNormalizedCost() const
     return found ? switchover : 1.0;
 }
 
-Graph
-ModelSwitchingEngine::buildChoice(const Choice &choice) const
+size_t
+ModelSwitchingEngine::choiceKey(const Choice &choice) const
 {
     if (choice.isTrainedVariant) {
-        for (const TrainedVariant &variant : variants_)
-            if (variant.name == choice.name)
-                return family_ == ModelFamily::Segformer
-                           ? buildSegformer(variant.segConfig)
-                           : buildSwin(variant.swinConfig);
+        for (size_t i = 0; i < variants_.size(); ++i)
+            if (variants_[i].name == choice.name)
+                return i;
         vitdyn_fatal("unknown trained variant '", choice.name, "'");
     }
-    for (const PruneConfig &candidate : candidates_)
-        if (candidate.label == choice.name)
-            return family_ == ModelFamily::Segformer
-                       ? applySegformerPrune(variants_[0].segConfig,
-                                             candidate)
-                       : applySwinPrune(variants_[0].swinConfig,
-                                        candidate);
+    for (size_t i = 0; i < candidates_.size(); ++i)
+        if (candidates_[i].label == choice.name)
+            return variants_.size() + i;
     vitdyn_fatal("unknown pruned path '", choice.name, "'");
 }
 
-std::shared_ptr<ModelSwitchingEngine::MaterializedChoice>
-ModelSwitchingEngine::acquireExecutor(const Choice &choice) const
+Graph
+ModelSwitchingEngine::buildKey(size_t key) const
 {
-    // Same switch metrics as DrtEngine::acquirePath — one process-wide
-    // view of configuration-switch cost, whatever engine drives it.
-    static Counter &hits =
-        MetricsRegistry::instance().counter("engine.executor_cache_hits");
-    static Counter &misses = MetricsRegistry::instance().counter(
-        "engine.executor_cache_misses");
-    static Histogram &switch_ms =
-        MetricsRegistry::instance().histogram("engine.switch_ms");
-
-    // Trained variants and pruned paths share the label namespace via
-    // the prefix, so one cache key covers both.
-    const std::string key =
-        (choice.isTrainedVariant ? std::string(kTrainedPrefix) : "") +
-        choice.name;
-
-    ++useTick_;
-    if (auto it = execCache_.find(key); it != execCache_.end()) {
-        hits.add();
-        it->second.lastUsed = useTick_;
-        return it->second.materialized;
-    }
-
-    misses.add();
-    const auto t0 = std::chrono::steady_clock::now();
-    ScopedSpan span(Tracer::instance(), "engine.materialize", "engine");
-    span.arg("path", key);
-
-    // The executor holds a reference to the graph, so both live in one
-    // heap block and the cache only ever moves the shared_ptr.
-    auto m = std::make_shared<MaterializedChoice>();
-    m->graph = buildChoice(choice);
-    if (passPipeline_) {
-        // Candidate prep: rewrite before the executor binds to the
-        // graph, so its conv workspaces and liveness plan see the
-        // fused form. The pipeline is transactional per pass — on
-        // failure the graph keeps the last lint-clean state and the
-        // choice still serves.
-        PassManager pipeline =
-            PassManager::standardPipeline(passOptions_);
-        Result<PipelineReport> rewritten = pipeline.run(m->graph);
-        if (rewritten)
-            span.arg("pass_rewrites", static_cast<int64_t>(
-                                          rewritten.value().totalRewrites()));
-        else
-            warn("choice '", key,
-                 "' pass pipeline failed (serving partially "
-                 "rewritten): ",
-                 rewritten.status().message());
-    }
-    m->executor = std::make_unique<Executor>(m->graph, seed_, store_);
-    if (!choice.isTrainedVariant) {
-        // Pruned paths slice the reference variant's full weights —
-        // the paper's shared-weight property. Trained variants are
-        // their own full models.
-        if (!referenceFull_)
-            referenceFull_ = std::make_unique<Graph>(
-                family_ == ModelFamily::Segformer
-                    ? buildSegformer(variants_[0].segConfig)
-                    : buildSwin(variants_[0].swinConfig));
-        registerFullDims(*referenceFull_, *m->executor);
-    }
-    m->executor->setConvAutotune(convAutotune_);
-    m->executor->warmupWeights();
-
-    if (cacheCapacity_ > 0) {
-        while (execCache_.size() >= cacheCapacity_ &&
-               !execCache_.empty()) {
-            auto victim = execCache_.begin();
-            for (auto it = execCache_.begin(); it != execCache_.end();
-                 ++it)
-                if (it->second.lastUsed < victim->second.lastUsed)
-                    victim = it;
-            execCache_.erase(victim);
-        }
-    }
-
-    CacheSlot &slot = execCache_[key];
-    slot.materialized = m;
-    slot.lastUsed = useTick_;
-    switch_ms.observe(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
-    return m;
+    const bool seg = family_ == ModelFamily::Segformer;
+    if (key < variants_.size())
+        return seg ? buildSegformer(variants_[key].segConfig)
+                   : buildSwin(variants_[key].swinConfig);
+    const PruneConfig &candidate = candidates_[key - variants_.size()];
+    return seg ? applySegformerPrune(variants_[0].segConfig, candidate)
+               : applySwinPrune(variants_[0].swinConfig, candidate);
 }
 
-Result<std::shared_ptr<ModelSwitchingEngine::MaterializedChoice>>
-ModelSwitchingEngine::tryAcquireExecutor(const Choice &choice,
-                                         Deadline deadline) const
+Graph
+ModelSwitchingEngine::buildChoice(const Choice &choice) const
 {
-    if (deadlineExpired(deadline))
-        return Status::error(
-            StatusCode::DeadlineExceeded,
-            "deadline expired before materializing '" + choice.name +
-                "'");
+    return buildKey(choiceKey(choice));
+}
 
-    bool known = false;
-    if (choice.isTrainedVariant) {
-        for (const TrainedVariant &variant : variants_)
-            known = known || variant.name == choice.name;
-    } else {
-        for (const PruneConfig &candidate : candidates_)
-            known = known || candidate.label == choice.name;
-    }
-    if (!known)
-        return Status::error(StatusCode::Rejected,
-                             "unknown " +
-                                 std::string(choice.isTrainedVariant
-                                                 ? "trained variant '"
-                                                 : "pruned path '") +
-                                 choice.name + "'");
-
-    std::shared_ptr<MaterializedChoice> m = acquireExecutor(choice);
-    if (deadlineExpired(deadline))
-        return Status::error(StatusCode::DeadlineExceeded,
-                             "deadline expired while materializing '" +
-                                 choice.name +
-                                 "' (executor cached for retry)");
-    return m;
+std::shared_ptr<MaterializedPath>
+ModelSwitchingEngine::acquireExecutor(const Choice &choice) const
+{
+    return cache_.acquire(choiceKey(choice));
 }
 
 std::vector<TrainedVariant>

@@ -12,17 +12,13 @@
 #ifndef VITDYN_ENGINE_MODEL_SWITCHING_HH
 #define VITDYN_ENGINE_MODEL_SWITCHING_HH
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/lut.hh"
-#include "graph/executor.hh"
-#include "graph/passes/pass.hh"
+#include "engine/path_cache.hh"
 #include "resilience/sweep.hh"
-#include "util/deadline.hh"
-#include "util/status.hh"
 
 namespace vitdyn
 {
@@ -48,12 +44,19 @@ class ModelSwitchingEngine
      * @param candidates  pruned execution paths of the reference.
      * @param accuracy    accuracy model for the pruned paths.
      * @param cost        resource cost (same unit for everything).
+     * @param seed        weight-synthesis seed of acquired executors.
+     * @param options     acquireExecutor's path-cache policy.
      */
     ModelSwitchingEngine(ModelFamily family,
                          std::vector<TrainedVariant> variants,
                          const std::vector<PruneConfig> &candidates,
                          const AccuracyModel &accuracy,
-                         const GraphCostFn &cost);
+                         const GraphCostFn &cost, uint64_t seed = 1,
+                         PathCacheOptions options = {});
+
+    // The path cache's builder refers back to this engine.
+    ModelSwitchingEngine(const ModelSwitchingEngine &) = delete;
+    ModelSwitchingEngine &operator=(const ModelSwitchingEngine &) = delete;
 
     /** What the combined frontier selects for a budget. */
     struct Choice
@@ -78,107 +81,41 @@ class ModelSwitchingEngine
     /** Build the graph for a selected choice. */
     Graph buildChoice(const Choice &choice) const;
 
-    /** A materialized execution path: the built graph plus a
-     *  weight-warmed executor (which references the graph). */
-    struct MaterializedChoice
-    {
-        Graph graph;
-        std::unique_ptr<Executor> executor;
-    };
-
     /**
-     * Executor for a selected choice, served from a bounded LRU
-     * keyed by the choice name — the switch hot path. A cache hit
+     * Executor for a selected choice, served from the shared
+     * PathCache keyed by the choice's position in the variants
+     * followed by the candidates — the switch hot path. A cache hit
      * returns the resident executor (conv workspaces intact, zero
      * weight work); a miss builds the graph, warms its weights
      * through the shared WeightStore, and evicts the
      * least-recently-used entry beyond the capacity. Shared
      * ownership: an evicted entry stays valid for holders. Pruned
      * choices register the reference variant's full dims so they
-     * slice the same stored weights. Feeds the same
-     * engine.executor_cache_hits/misses counters and engine.switch_ms
-     * histogram as DrtEngine.
+     * slice the same stored weights.
      */
-    std::shared_ptr<MaterializedChoice>
+    std::shared_ptr<MaterializedPath>
     acquireExecutor(const Choice &choice) const;
-
-    /**
-     * Serving variant of acquireExecutor with an optional wall-clock
-     * deadline and typed recoverable errors instead of process
-     * aborts: StatusCode::DeadlineExceeded when the deadline already
-     * passed before materialization (the expensive step) or expired
-     * while it ran — the LRU entry stays warm either way, so a retry
-     * is a cache hit — and StatusCode::Rejected when the choice names
-     * neither a trained variant nor a pruning candidate (a malformed
-     * request must not take a server down).
-     */
-    Result<std::shared_ptr<MaterializedChoice>>
-    tryAcquireExecutor(const Choice &choice,
-                       Deadline deadline = {}) const;
-
-    /** Weight-synthesis seed used by acquireExecutor (default 1). */
-    void setExecutorSeed(uint64_t seed) { seed_ = seed; }
-
-    /** Max executors kept resident by acquireExecutor; 0 = unbounded
-     *  (default 8). Shrinking takes effect on the next acquire. */
-    void setExecutorCacheCapacity(size_t capacity)
-    {
-        cacheCapacity_ = capacity;
-    }
-
-    /** Weight store for acquired executors; nullptr = process-wide. */
-    void setWeightStore(WeightStore *store) { store_ = store; }
-
-    /**
-     * Run the standard rewrite pipeline (graph/passes/) over every
-     * candidate graph as acquireExecutor materializes it. Bit-identical
-     * execution, fewer intermediate tensors; same failure policy as
-     * DrtEngineOptions::passPipeline (log and serve the last
-     * lint-clean state). Takes effect on the next cache miss.
-     */
-    void setPassPipeline(bool enabled, PassOptions options = {})
-    {
-        passPipeline_ = enabled;
-        passOptions_ = std::move(options);
-    }
-
-    /**
-     * Measured conv-plan autotuning for acquired executors (see
-     * tensor/kernels/conv_autotune.hh); same determinism story as
-     * DrtEngineOptions::convAutotune. Takes effect on the next cache
-     * miss.
-     */
-    void setConvAutotune(const ConvAutotuneOptions &options)
-    {
-        convAutotune_ = options;
-    }
 
     const AccuracyResourceLut &lut() const { return lut_; }
 
   private:
     static constexpr const char *kTrainedPrefix = "trained:";
 
-    struct CacheSlot
-    {
-        std::shared_ptr<MaterializedChoice> materialized;
-        uint64_t lastUsed = 0;
-    };
+    /** Cache key of @p choice: its index in variants_, or
+     *  variants_.size() + its index in candidates_. */
+    size_t choiceKey(const Choice &choice) const;
+
+    /** Graph of cache key @p key (see choiceKey). */
+    Graph buildKey(size_t key) const;
 
     ModelFamily family_;
     std::vector<TrainedVariant> variants_;
     std::vector<PruneConfig> candidates_;
     AccuracyResourceLut lut_;
-    uint64_t seed_ = 1;
-    size_t cacheCapacity_ = 8;
-    WeightStore *store_ = nullptr;
-    bool passPipeline_ = false;
-    PassOptions passOptions_;
-    ConvAutotuneOptions convAutotune_ = {/*enabled=*/true};
-    /** Reference (largest variant) graph, built on first pruned
-     *  acquire, for registerFullDims-style weight sharing. */
-    mutable std::unique_ptr<Graph> referenceFull_;
-    mutable std::map<std::string, CacheSlot> execCache_;
-    mutable uint64_t useTick_ = 0;
+    /** Reference (largest variant) graph whose full dims the pruned
+     *  paths slice their weights from. */
+    Graph referenceFull_;
+    mutable PathCache cache_;
 };
 
 /** SegFormer B0/B1/B2 trained variants for a dataset preset. */

@@ -87,14 +87,10 @@ AdmissionController::decide(double requested_budget, ServeClass cls,
         decision.retryAfterMs = retry_after;
         return decision;
     }
-    if (signals.totalPaths > 0 &&
-        signals.quarantinedPaths >= signals.totalPaths) {
-        decision.status = Status::error(
-            StatusCode::Quarantined,
-            "every execution path is quarantined");
-        decision.retryAfterMs = retry_after;
-        return decision;
-    }
+    // Quarantine is not a reject reason here: the signal is a
+    // snapshot only a dispatch refreshes, and the engine both owns
+    // the verdict (StatusCode::Quarantined) and needs the request to
+    // advance its probation clock.
 
     // 2. Graceful degradation: congestion pressure scales the budget
     // down so heavier load slides requests toward cheaper frontier

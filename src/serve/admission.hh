@@ -8,8 +8,10 @@
  * submit path stays cheap and the policy is unit-testable in
  * isolation. Policy, in order:
  *
- *  1. hard backpressure: queue at capacity, or every execution path
- *     quarantined → typed rejection with a retry-after hint;
+ *  1. hard backpressure: queue at capacity → typed rejection with a
+ *     retry-after hint (quarantine never rejects here: the engine
+ *     answers StatusCode::Quarantined itself, and every request it
+ *     turns away advances its probation clock);
  *  2. graceful degradation: scale the requested budget down by the
  *     measured congestion pressure (weighted per priority class:
  *     Batch bends first, Critical last) and by what the deadline can

@@ -211,9 +211,6 @@ ServeScheduler::submit(ServeRequest request)
         response.breakdown.admissionMs = admission_ms;
         rejected_.fetch_add(1, std::memory_order_relaxed);
         c.rejected.add();
-        if (decision.status.code() == StatusCode::Quarantined)
-            quarantineRejects_.fetch_add(1,
-                                         std::memory_order_relaxed);
         if (deadlineSet(request.deadline)) {
             deadlineMisses_[cls].fetch_add(1,
                                            std::memory_order_relaxed);

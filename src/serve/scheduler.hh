@@ -13,8 +13,10 @@
  * ThreadPool — and drains the queue in priority/EDF order, grouping
  * compatible same-config requests into one dynamic-batch dispatch
  * through the WeightStore-backed executor LRU. Quarantine reroutes
- * happen inside DrtEngine::tryInferBatch; the dispatcher republishes
- * the engine's quarantine count so admission sees fresh health
+ * happen inside DrtEngine::tryInferBatch, which also answers
+ * StatusCode::Quarantined when no path is servable (counted in
+ * Stats::quarantineRejects); the dispatcher republishes the engine's
+ * quarantine count so admission's quarantine pressure stays fresh
  * without touching the engine.
  *
  * Closed resilience loop: pool.queue_depth / pool.task_wait_ms
@@ -110,7 +112,7 @@ class ServeScheduler
         uint64_t rerouted = 0;   ///< Completed off the admitted
                                  ///< config (quarantine mid-flight).
         uint64_t cancelled = 0;  ///< Shutdown before dispatch.
-        uint64_t quarantineRejects = 0; ///< No healthy path.
+        uint64_t quarantineRejects = 0; ///< Engine: no healthy path.
         /** Completions that landed after their deadline, per class
          *  (misses = expired-in-queue ones count here too). */
         std::array<uint64_t, kServeClasses> deadlineMisses{};

@@ -210,12 +210,11 @@ ConvPlanCache::instance()
     return cache;
 }
 
-ConvPlanCache::Entry &
+Conv2dPlan
 ConvPlanCache::tuneLocked(const Conv2dShapeKey &key,
                           const ConvAutotuneOptions &opts)
 {
-    Entry entry;
-    entry.plan =
+    Conv2dPlan plan =
         conv2dAutoPlan(inputShapeOf(key), weightShapeOf(key),
                        paramsOf(key));
     if (opts.enabled && key.flops() >= opts.minMeasureFlops &&
@@ -226,12 +225,12 @@ ConvPlanCache::tuneLocked(const Conv2dShapeKey &key,
         static Counter &budget_skips =
             MetricsRegistry::instance().counter("autotune.budget_skips");
         double best_ms = std::numeric_limits<double>::infinity();
-        Conv2dPlan best = entry.plan;
+        Conv2dPlan best = plan;
         bool first = true;
         for (const Conv2dPlan &cand : enumerateConvPlans(key, opts)) {
             // Candidate #0 (the heuristic plan) always runs so the
-            // entry has a real timing; later candidates only while
-            // budget remains.
+            // winner is never slower than it; later candidates only
+            // while budget remains.
             if (!first && spentMs_ >= opts.budgetMs) {
                 budget_skips.add();
                 continue;
@@ -247,9 +246,7 @@ ConvPlanCache::tuneLocked(const Conv2dShapeKey &key,
                 best = cand;
             }
         }
-        entry.plan = best;
-        entry.ms = best_ms;
-        entry.measured = true;
+        plan = best;
         if (span.active()) {
             span.arg("shape", std::to_string(key.n) + "x" +
                                   std::to_string(key.c) + "x" +
@@ -265,18 +262,12 @@ ConvPlanCache::tuneLocked(const Conv2dShapeKey &key,
                                    : "direct");
             span.arg("ms", std::to_string(best_ms));
         }
-    } else {
-        // Estimated lazily in measuredMs(): a plain plan() miss must
-        // not pay the one-time calibration measurement.
-        entry.ms = -1.0;
-        entry.measured = false;
     }
-    auto [it, inserted] = plans_.emplace(key, entry);
-    (void)inserted;
+    plans_.emplace(key, plan);
     static Gauge &shapes =
         MetricsRegistry::instance().gauge("autotune.shapes");
     shapes.set(static_cast<double>(plans_.size()));
-    return it->second;
+    return plan;
 }
 
 Conv2dPlan
@@ -288,22 +279,9 @@ ConvPlanCache::plan(const Conv2dShapeKey &key,
         static Counter &hits = MetricsRegistry::instance().counter(
             "autotune.cache_hits");
         hits.add();
-        return it->second.plan;
+        return it->second;
     }
-    return tuneLocked(key, opts).plan;
-}
-
-double
-ConvPlanCache::measuredMs(const Conv2dShapeKey &key,
-                          const ConvAutotuneOptions &opts)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(key);
-    Entry &entry =
-        it != plans_.end() ? it->second : tuneLocked(key, opts);
-    if (!entry.measured && entry.ms < 0.0)
-        entry.ms = key.flops() / calibratedFlopsPerMs();
-    return entry.ms;
+    return tuneLocked(key, opts);
 }
 
 size_t
@@ -327,29 +305,6 @@ ConvPlanCache::clear()
     plans_.clear();
     measurements_ = 0;
     spentMs_ = 0.0;
-}
-
-double
-calibratedFlopsPerMs()
-{
-    // Reference 3x3 GEMM conv (~14.5 MFLOPs), measured once with the
-    // heuristic plan on the active ISA.
-    static const double rate = [] {
-        Conv2dShapeKey key;
-        key.n = 1;
-        key.c = 32;
-        key.h = 28;
-        key.w = 28;
-        key.k = 32;
-        key.r = 3;
-        key.s = 3;
-        key.padH = key.padW = 1;
-        const Conv2dPlan plan = conv2dAutoPlan(
-            inputShapeOf(key), weightShapeOf(key), paramsOf(key));
-        const double ms = measureConvPlan(key, plan, 2);
-        return ms > 0.0 ? key.flops() / ms : 1.0e9;
-    }();
-    return rate;
 }
 
 } // namespace vitdyn

@@ -131,14 +131,6 @@ class ConvPlanCache
     Conv2dPlan plan(const Conv2dShapeKey &key,
                     const ConvAutotuneOptions &opts);
 
-    /**
-     * Measured wall-ms of @p key's winning plan, tuning on demand.
-     * Shapes cached without measurement (below minMeasureFlops)
-     * report an estimate from the process-calibrated FLOP rate.
-     */
-    double measuredMs(const Conv2dShapeKey &key,
-                      const ConvAutotuneOptions &opts);
-
     /** Cached unique shapes. */
     size_t size() const;
 
@@ -150,30 +142,15 @@ class ConvPlanCache
     void clear();
 
   private:
-    struct Entry
-    {
-        Conv2dPlan plan;
-        double ms = 0.0;
-        bool measured = false;
-    };
-
-    Entry &tuneLocked(const Conv2dShapeKey &key,
-                      const ConvAutotuneOptions &opts);
+    Conv2dPlan tuneLocked(const Conv2dShapeKey &key,
+                          const ConvAutotuneOptions &opts);
 
     mutable std::mutex mu_;
-    std::map<Conv2dShapeKey, Entry> plans_;
+    std::map<Conv2dShapeKey, Conv2dPlan> plans_;
     uint64_t measurements_ = 0;
     /** Wall-ms spent timing candidates, charged against budgetMs. */
     double spentMs_ = 0.0;
 };
-
-/**
- * Effective GEMM throughput of the active ISA in FLOPs per
- * millisecond, measured once per process on a reference shape. Used
- * to price unmeasured layers in the measured cost oracle
- * (analysis/kernel_cost.hh).
- */
-double calibratedFlopsPerMs();
 
 } // namespace vitdyn
 

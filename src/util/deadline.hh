@@ -5,10 +5,9 @@
  * A Deadline is a std::chrono::steady_clock time point; the
  * default-constructed value means "no deadline" so existing callers
  * (batch experiments, benches) pass nothing and pay nothing. All
- * deadline-aware entry points (DrtEngine::tryInfer,
- * ModelSwitchingEngine::tryAcquireExecutor, the serve/ scheduler)
- * share these helpers so "expired" means exactly one thing
- * everywhere.
+ * deadline-aware entry points (DrtEngine::tryInfer and
+ * tryInferBatch, the serve/ scheduler) share these helpers so
+ * "expired" means exactly one thing everywhere.
  */
 
 #ifndef VITDYN_UTIL_DEADLINE_HH

@@ -755,17 +755,5 @@ TEST(Autotune, TunedPlanNeverChangesExecutorOutput)
     ConvPlanCache::instance().clear();
 }
 
-TEST(Autotune, MeasuredMsEstimatesUnmeasuredShapes)
-{
-    ConvPlanCache &cache = ConvPlanCache::instance();
-    cache.clear();
-    ConvAutotuneOptions opts;
-    opts.enabled = true; // tiny key is below the default window
-    const double ms = cache.measuredMs(tinyKey(), opts);
-    EXPECT_GT(ms, 0.0);
-    EXPECT_GT(calibratedFlopsPerMs(), 0.0);
-    cache.clear();
-}
-
 } // namespace
 } // namespace vitdyn

@@ -58,13 +58,13 @@ TEST_F(SwitchingFixture, PassPipelineRewritesMaterializedGraphs)
     auto choice = engine_.select(1e9);
     auto plain = engine_.acquireExecutor(choice);
 
-    ModelSwitchingEngine rewriting(ModelFamily::Segformer,
-                                   segformerTrainedVariants(),
-                                   segformerAdePruneCatalog(), acc_,
-                                   [this](const Graph &g) {
-                                       return gpu_.graphTimeMs(g);
-                                   });
-    rewriting.setPassPipeline(true);
+    PathCacheOptions options;
+    options.passPipeline = true;
+    ModelSwitchingEngine rewriting(
+        ModelFamily::Segformer, segformerTrainedVariants(),
+        segformerAdePruneCatalog(), acc_,
+        [this](const Graph &g) { return gpu_.graphTimeMs(g); }, 1,
+        options);
     auto rewritten = rewriting.acquireExecutor(choice);
 
     // The pipeline fused layers out of the candidate graph and left it

@@ -367,22 +367,6 @@ TEST(Admission, MemoryPolicyOffWithoutBoundsOrBudget)
     EXPECT_EQ(lut.entries()[d.configIndex].config.label, "full");
 }
 
-TEST(Admission, AllQuarantinedIsTypedRejection)
-{
-    AccuracyResourceLut lut(tinyPoints(), "ms");
-    AdmissionController admission(lut);
-    HealthSignals s = idleSignals();
-    s.quarantinedPaths = 3;
-
-    AdmissionDecision d =
-        admission.decide(1000.0, ServeClass::Critical, {},
-                         std::chrono::steady_clock::now(), s);
-    ASSERT_FALSE(d.status.isOk());
-    EXPECT_EQ(d.status.code(), StatusCode::Quarantined);
-    EXPECT_GE(d.retryAfterMs,
-              admission.options().minRetryAfterMs);
-}
-
 // --- Deadline-aware engine entry points ---------------------------
 
 class ServeEngineFixture : public testing::Test
@@ -463,15 +447,22 @@ TEST(ServeEngine, BatchReroutesAroundQuarantineMidFlight)
     EXPECT_TRUE(engine.isQuarantined(engine.numPaths() - 1));
 }
 
+/** A plan that NaN-poisons every layer of every path. */
+FaultPlan
+poisonEverything()
+{
+    FaultPlan plan;
+    plan.seed = 7;
+    plan.specs.push_back({FaultKind::NaNPoison, "*", 1.0, 8, 0.0});
+    return plan;
+}
+
 TEST(ServeEngine, ExhaustedPathsAreTypedQuarantineError)
 {
     DrtEngine engine(ModelFamily::Segformer, tinyBase(), SwinConfig{},
                      AccuracyResourceLut(tinyPoints(), "ms"), 17);
     engine.setResilience(testResilience());
-    FaultPlan plan;
-    plan.seed = 7;
-    plan.specs.push_back({FaultKind::NaNPoison, "*", 1.0, 8, 0.0});
-    FaultInjector injector(plan);
+    FaultInjector injector(poisonEverything());
     engine.setFaultInjector(&injector);
 
     const std::vector<Tensor> images = {testImage(1), testImage(2)};
@@ -484,6 +475,37 @@ TEST(ServeEngine, ExhaustedPathsAreTypedQuarantineError)
     ASSERT_FALSE(results[1].isOk());
     EXPECT_EQ(results[1].status().code(), StatusCode::Quarantined);
     EXPECT_TRUE(engine.allServableQuarantined());
+}
+
+TEST(ServeEngine, ProbationEndsWhenEveryPathIsQuarantined)
+{
+    DrtEngine engine(ModelFamily::Segformer, tinyBase(), SwinConfig{},
+                     AccuracyResourceLut(tinyPoints(), "ms"), 17);
+    const EngineResilienceConfig resilience = testResilience();
+    engine.setResilience(resilience);
+    FaultInjector injector(poisonEverything());
+    engine.setFaultInjector(&injector);
+
+    // One request's retries quarantine every path; then the fault
+    // clears. Requests turned away as Quarantined are frames the
+    // paths sit out, so the probation window must run out.
+    engine.tryInferBatch({testImage(1)}, 1000.0);
+    ASSERT_TRUE(engine.allServableQuarantined());
+    engine.setFaultInjector(nullptr);
+
+    bool served = false;
+    for (int i = 0; i < resilience.probationFrames + 1 && !served; ++i) {
+        auto results = engine.tryInferBatch({testImage(2)}, 1000.0);
+        ASSERT_EQ(results.size(), 1u);
+        if (results[0].isOk()) {
+            EXPECT_TRUE(results[0].value().healthy);
+            served = true;
+        } else {
+            EXPECT_EQ(results[0].status().code(),
+                      StatusCode::Quarantined);
+        }
+    }
+    EXPECT_TRUE(served) << "probation never ended";
 }
 
 // --- End-to-end scheduler -----------------------------------------
@@ -545,17 +567,34 @@ TEST(ServeScheduler, ConcurrentSubmissionsAllComplete)
     expectExactlyOneOutcomeEach(stats);
 }
 
-TEST(ServeScheduler, QueueExpiredDeadlineIsTypedAndNeverRuns)
+/** What runExpiryBehindFillers observed. */
+struct ExpiryRun
 {
-    DrtEngine engine(ModelFamily::Segformer, tinyBase(), SwinConfig{},
-                     AccuracyResourceLut(tinyPoints(), "ms"), 17);
+    ServeResponse doomed;
+    std::vector<ServeResponse> fillers;
+    ServeScheduler::Stats stats;
+};
+
+/**
+ * Five Critical fillers and one Batch request with a 200 ms deadline,
+ * which admission sees as feasible. A post-layer hook holds the
+ * dispatcher inside the fillers' path until that deadline has passed,
+ * so the Batch request expires in the queue at any host speed.
+ */
+ExpiryRun
+runExpiryBehindFillers(DrtEngine &engine)
+{
+    std::promise<void> latch;
+    std::shared_future<void> opened = latch.get_future().share();
+    engine.pathExecutor(engine.numPaths() - 1)
+        .setPostLayerHook(
+            [opened](const Layer &, Tensor &) { opened.wait(); });
+
     ServeSchedulerOptions options;
     options.maxBatch = 1;
     options.initialCostScale = 1e-9; // admission predicts ~0 wait
     ServeScheduler scheduler(engine, options);
 
-    // Critical fillers occupy the dispatcher; the dated Batch-class
-    // request must wait behind them (strict priority) and expire.
     std::vector<std::future<ServeResponse>> fillers;
     for (int i = 0; i < 5; ++i) {
         ServeRequest request;
@@ -568,18 +607,82 @@ TEST(ServeScheduler, QueueExpiredDeadlineIsTypedAndNeverRuns)
     dated.image = testImage(99);
     dated.budget = 1000.0;
     dated.priority = ServeClass::Batch;
-    dated.deadline = deadlineAfterMs(0.5);
+    dated.deadline = deadlineAfterMs(200.0);
+    const Deadline deadline = dated.deadline;
     std::future<ServeResponse> doomed =
         scheduler.submit(std::move(dated));
 
-    const ServeResponse response = doomed.get();
-    ASSERT_FALSE(response.status.isOk());
-    EXPECT_EQ(response.status.code(), StatusCode::DeadlineExceeded);
+    std::this_thread::sleep_until(deadline +
+                                  std::chrono::milliseconds(1));
+    latch.set_value();
+
+    ExpiryRun run;
+    run.doomed = doomed.get();
     for (auto &filler : fillers)
-        EXPECT_TRUE(filler.get().status.isOk());
+        run.fillers.push_back(filler.get());
     scheduler.shutdown(true);
+    run.stats = scheduler.stats();
+    return run;
+}
+
+TEST(ServeScheduler, QueueExpiredDeadlineIsTypedAndNeverRuns)
+{
+    DrtEngine engine(ModelFamily::Segformer, tinyBase(), SwinConfig{},
+                     AccuracyResourceLut(tinyPoints(), "ms"), 17);
+    // Critical fillers occupy the dispatcher; the dated Batch-class
+    // request must wait behind them (strict priority) and expire.
+    const ExpiryRun run = runExpiryBehindFillers(engine);
+
+    ASSERT_FALSE(run.doomed.status.isOk());
+    EXPECT_EQ(run.doomed.status.code(), StatusCode::DeadlineExceeded);
+    for (const ServeResponse &filler : run.fillers)
+        EXPECT_TRUE(filler.status.isOk());
+    expectExactlyOneOutcomeEach(run.stats);
+    EXPECT_GE(run.stats.expired, 1u);
+}
+
+TEST(ServeScheduler, ProbationEndsWhenEveryPathIsQuarantined)
+{
+    DrtEngine engine(ModelFamily::Segformer, tinyBase(), SwinConfig{},
+                     AccuracyResourceLut(tinyPoints(), "ms"), 17);
+    const EngineResilienceConfig resilience = testResilience();
+    engine.setResilience(resilience);
+    FaultInjector injector(poisonEverything());
+    engine.setFaultInjector(&injector);
+
+    ServeSchedulerOptions options;
+    options.maxBatch = 1;
+    options.initialCostScale = 1e-6;
+    ServeScheduler scheduler(engine, options);
+    auto serveOne = [&scheduler](uint64_t seed) {
+        ServeRequest request;
+        request.image = testImage(seed);
+        request.budget = 1000.0;
+        request.priority = ServeClass::Interactive;
+        return scheduler.submit(std::move(request)).get();
+    };
+
+    // The first dispatch quarantines every path. Its response is
+    // delivered after the dispatcher's last engine access, and the
+    // dispatcher then idles on the empty queue, so the fault can be
+    // cleared from here.
+    serveOne(1);
+    engine.setFaultInjector(nullptr);
+
+    bool served = false;
+    for (int i = 0; i < resilience.probationFrames + 1 && !served; ++i) {
+        const ServeResponse response = serveOne(2);
+        if (response.status.isOk()) {
+            EXPECT_TRUE(response.result.healthy);
+            served = true;
+        } else {
+            EXPECT_EQ(response.status.code(), StatusCode::Quarantined);
+        }
+    }
+    EXPECT_TRUE(served) << "probation never ended";
+    scheduler.shutdown(true);
+    EXPECT_GE(scheduler.stats().quarantineRejects, 1u);
     expectExactlyOneOutcomeEach(scheduler.stats());
-    EXPECT_GE(scheduler.stats().expired, 1u);
 }
 
 TEST(ServeScheduler, QuarantineRerouteLosesNoResponse)
@@ -721,32 +824,10 @@ TEST(ServeScheduler, DeadlineMissWritesFlightDumpWithSpanChain)
 
     DrtEngine engine(ModelFamily::Segformer, tinyBase(), SwinConfig{},
                      AccuracyResourceLut(tinyPoints(), "ms"), 17);
-    ServeSchedulerOptions options;
-    options.maxBatch = 1;
-    options.initialCostScale = 1e-9;
-    ServeScheduler scheduler(engine, options);
-
     // Same shape as QueueExpiredDeadlineIsTypedAndNeverRuns: fillers
     // occupy the dispatcher while a dated request expires behind
     // them, which must fire the DeadlineMiss flight trigger.
-    std::vector<std::future<ServeResponse>> fillers;
-    for (int i = 0; i < 5; ++i) {
-        ServeRequest request;
-        request.image = testImage(static_cast<uint64_t>(i + 1));
-        request.budget = 1000.0;
-        request.priority = ServeClass::Critical;
-        fillers.push_back(scheduler.submit(std::move(request)));
-    }
-    ServeRequest dated;
-    dated.image = testImage(99);
-    dated.budget = 1000.0;
-    dated.priority = ServeClass::Batch;
-    dated.deadline = deadlineAfterMs(0.5);
-    const ServeResponse doomed =
-        scheduler.submit(std::move(dated)).get();
-    for (auto &filler : fillers)
-        filler.get();
-    scheduler.shutdown(true);
+    const ServeResponse doomed = runExpiryBehindFillers(engine).doomed;
     recorder.disarm();
     Tracer::instance().clear();
 

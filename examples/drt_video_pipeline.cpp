@@ -255,7 +255,7 @@ main(int argc, char **argv)
     }
 
     ServeSchedulerOptions options;
-    options.queueCapacity =
+    options.admission.queueCapacity =
         static_cast<size_t>(streams) * static_cast<size_t>(per_stream);
     options.maxBatch = 4;
     options.initialCostScale =

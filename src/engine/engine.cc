@@ -65,9 +65,55 @@ lintLutEntry(ModelFamily family, const SegformerConfig &seg_base,
 
 } // namespace
 
+struct DrtEngine::LintGate
+{
+    /** One verdict per LUT entry; an error vetoes that config. */
+    std::vector<Status> verdicts;
+    /** Certified peak-activation bounds; 0 = unknown (gate off). */
+    std::vector<size_t> certifiedPeakBytes;
+    /** The first veto, with context, when every config failed. */
+    Status status;
+};
+
+DrtEngine::LintGate
+DrtEngine::lintGate(ModelFamily family, const SegformerConfig &seg_base,
+                    const SwinConfig &swin_base,
+                    const AccuracyResourceLut &lut,
+                    const DrtLintOptions &options)
+{
+    const size_t n = lut.entries().size();
+    LintGate gate{std::vector<Status>(n), std::vector<size_t>(n, 0),
+                  Status::ok()};
+    if (!options.enabled)
+        return gate;
+    bool any_alive = false;
+    Status first_veto;
+    for (size_t i = 0; i < n; ++i) {
+        gate.verdicts[i] =
+            lintLutEntry(family, seg_base, swin_base, lut.entries()[i],
+                         options, &gate.certifiedPeakBytes[i]);
+        any_alive |= gate.verdicts[i].isOk();
+        if (!gate.verdicts[i] && first_veto.isOk())
+            first_veto = gate.verdicts[i];
+    }
+    if (!any_alive)
+        gate.status = first_veto.withContext(
+            "DrtEngine: every LUT config failed lint");
+    return gate;
+}
+
 DrtEngine::DrtEngine(ModelFamily family, const SegformerConfig &seg_base,
                      const SwinConfig &swin_base, AccuracyResourceLut lut,
                      uint64_t seed, DrtEngineOptions options)
+    : DrtEngine(lintGate(family, seg_base, swin_base, lut, options.lint),
+                family, seg_base, swin_base, std::move(lut), seed, options)
+{
+}
+
+DrtEngine::DrtEngine(LintGate gate, ModelFamily family,
+                     const SegformerConfig &seg_base,
+                     const SwinConfig &swin_base, AccuracyResourceLut &&lut,
+                     uint64_t seed, const DrtEngineOptions &options)
     : lut_(std::move(lut)), family_(family), segBase_(seg_base),
       swinBase_(swin_base),
       // The unpruned reference defines the shared weight dimensions.
@@ -87,7 +133,7 @@ DrtEngine::DrtEngine(ModelFamily family, const SegformerConfig &seg_base,
              [this](Executor &executor) { configureExecutor(executor); }),
       quarantinedUntil_(lut_.entries().size(), 0),
       configVetoed_(lut_.entries().size(), false),
-      certifiedPeakBytes_(lut_.entries().size(), 0)
+      certifiedPeakBytes_(std::move(gate.certifiedPeakBytes))
 {
     vitdyn_assert(!lut_.empty(), "DrtEngine needs a non-empty LUT");
 
@@ -96,24 +142,17 @@ DrtEngine::DrtEngine(ModelFamily family, const SegformerConfig &seg_base,
             "lint.configs_checked");
         static Counter &vetoes = MetricsRegistry::instance().counter(
             "lint.configs_vetoed");
-        size_t alive = 0;
         for (size_t i = 0; i < lut_.entries().size(); ++i) {
             checked.add();
-            const LutEntry &entry = lut_.entries()[i];
-            Status verdict =
-                lintLutEntry(family_, segBase_, swinBase_, entry,
-                             options.lint, &certifiedPeakBytes_[i]);
-            if (verdict) {
-                ++alive;
+            const Status &verdict = gate.verdicts[i];
+            if (verdict)
                 continue;
-            }
             vetoes.add();
             configVetoed_[i] = true;
-            warn("DRT config '", entry.config.label,
+            warn("DRT config '", lut_.entries()[i].config.label,
                  "' failed lint and is disabled: ", verdict.message());
         }
-        vitdyn_assert(alive > 0,
-                      "DrtEngine: every LUT config failed lint");
+        vitdyn_assert(gate.status.isOk(), gate.status.message());
     }
 
     if (options.prewarm) {
@@ -156,27 +195,14 @@ DrtEngine::create(ModelFamily family, const SegformerConfig &seg_base,
                                  entry.config.label +
                                  "' has an invalid resource cost");
     }
-    if (options.lint.enabled) {
-        // The constructor aborts when the lint gate vetoes everything;
-        // prove at least one config survives before constructing.
-        bool any_alive = false;
-        Status first_verdict;
-        for (const LutEntry &entry : lut.entries()) {
-            Status verdict = lintLutEntry(family, seg_base, swin_base,
-                                          entry, options.lint);
-            if (verdict) {
-                any_alive = true;
-                break;
-            }
-            if (first_verdict.isOk())
-                first_verdict = verdict;
-        }
-        if (!any_alive)
-            return first_verdict.withContext(
-                "DrtEngine: every LUT config failed lint");
-    }
-    return std::unique_ptr<DrtEngine>(new DrtEngine(
-        family, seg_base, swin_base, std::move(lut), seed, options));
+    // The constructor aborts when the lint gate vetoes everything;
+    // run the gate here so that case is a recoverable error instead.
+    LintGate gate = lintGate(family, seg_base, swin_base, lut, options.lint);
+    if (!gate.status)
+        return gate.status;
+    return std::unique_ptr<DrtEngine>(
+        new DrtEngine(std::move(gate), family, seg_base, swin_base,
+                      std::move(lut), seed, options));
 }
 
 void

@@ -303,6 +303,27 @@ class DrtEngine
     size_t numMaterializedPaths() const { return paths_.size(); }
 
   private:
+    /** The load-time lint verdicts for every LUT entry (engine.cc). */
+    struct LintGate;
+
+    /**
+     * Run the lint gate (when @p options is enabled) over every entry
+     * of @p lut: one verdict and one certified peak bound per config,
+     * and an error when no config survives.
+     */
+    static LintGate lintGate(ModelFamily family,
+                             const SegformerConfig &seg_base,
+                             const SwinConfig &swin_base,
+                             const AccuracyResourceLut &lut,
+                             const DrtLintOptions &options);
+
+    /** Both public entry points construct through this, with the gate
+     *  already run; it aborts when every config was vetoed. */
+    DrtEngine(LintGate gate, ModelFamily family,
+              const SegformerConfig &seg_base, const SwinConfig &swin_base,
+              AccuracyResourceLut &&lut, uint64_t seed,
+              const DrtEngineOptions &options);
+
     /** The materialized path for LUT entry @p index (see PathCache). */
     std::shared_ptr<MaterializedPath> acquirePath(size_t index) const;
 

@@ -70,8 +70,8 @@ struct PathCacheOptions
     /**
      * Measured conv execution-plan autotuning, applied to every
      * path's executor at materialization (see
-     * tensor/kernels/conv_autotune.hh). Enabled by default: the tuner
-     * only enumerates exact-flavor plans, so the choice never changes
+     * tensor/kernels/conv_autotune.hh). Enabled by default: every
+     * plan the tuner enumerates is exact, so the choice never changes
      * outputs, and shapes are measured once per process (tiny layers
      * are not measured at all). Set convAutotune.enabled = false to
      * fall back to the static Auto heuristic everywhere — the CI

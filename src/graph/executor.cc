@@ -401,7 +401,7 @@ Executor::executeInPlace(const Layer &layer, Tensor &x,
 }
 
 std::map<std::string, Tensor>
-Executor::run(const std::map<std::string, Tensor> &inputs)
+Executor::run(std::map<std::string, Tensor> inputs)
 {
     const size_t n = graph_.numLayers();
     std::vector<Tensor> values(n);
@@ -434,7 +434,7 @@ Executor::run(const std::map<std::string, Tensor> &inputs)
                           "input '", layer.name, "' shape ",
                           shapeToString(it->second.shape()),
                           " != declared ", shapeToString(layer.outShape));
-            values[layer.id] = it->second;
+            values[layer.id] = std::move(it->second);
         } else {
             std::vector<Tensor *> ins;
             ins.reserve(layer.inputs.size());
@@ -574,9 +574,12 @@ Executor::run(const std::map<std::string, Tensor> &inputs)
                   certifiedPeakBytes_, " bytes");
 #endif
 
+    // try_emplace moves a tensor only into a new key, so an output
+    // listed twice is moved once.
     std::map<std::string, Tensor> outs;
     for (int out_id : graph_.outputs())
-        outs[graph_.layer(out_id).name] = values[out_id];
+        outs.try_emplace(graph_.layer(out_id).name,
+                         std::move(values[out_id]));
     return outs;
 }
 
@@ -589,8 +592,8 @@ Executor::runSimple(const Tensor &input)
                   "runSimple needs exactly one graph output");
     std::map<std::string, Tensor> ins;
     ins[graph_.layer(graph_.inputs()[0]).name] = input;
-    auto outs = run(ins);
-    return outs.begin()->second;
+    auto outs = run(std::move(ins));
+    return std::move(outs.begin()->second);
 }
 
 } // namespace vitdyn

@@ -128,9 +128,11 @@ class Executor
 
     const ConvAutotuneOptions &convAutotune() const { return autotune_; }
 
-    /** Run the graph; @p inputs maps graph-input name to tensor. */
+    /** Run the graph; @p inputs maps graph-input name to tensor. The
+     *  run takes ownership of the tensors: pass an rvalue to avoid a
+     *  copy. */
     std::map<std::string, Tensor>
-    run(const std::map<std::string, Tensor> &inputs);
+    run(std::map<std::string, Tensor> inputs);
 
     /** Single-input single-output convenience wrapper. */
     Tensor runSimple(const Tensor &input);

@@ -61,6 +61,10 @@ Graph::Graph(std::string name)
 int
 Graph::addInput(const std::string &name, Shape shape)
 {
+    // Executor::run binds (and moves) inputs by name.
+    for (int id : inputs_)
+        vitdyn_assert(layers_[id].name != name, "graph input '", name,
+                      "' declared twice");
     Layer layer;
     layer.id = static_cast<int>(layers_.size());
     layer.name = name;

@@ -127,17 +127,12 @@ elapsedMs(Deadline from, Deadline to)
 ServeScheduler::ServeScheduler(DrtEngine &engine,
                                ServeSchedulerOptions options)
     : engine_(engine), options_(options),
-      admission_(engine.lut(),
-                 [&options] {
-                     AdmissionOptions a = options.admission;
-                     a.queueCapacity = options.queueCapacity;
-                     return a;
-                 }(),
+      admission_(engine.lut(), options.admission,
                  // Certified static peak bounds from the engine's
                  // load-time liveness analysis: the memory-aware
                  // admission policy never guesses.
                  engine.certifiedPeakBytes()),
-      queue_(options.queueCapacity),
+      queue_(options.admission.queueCapacity),
       costScale_(options.initialCostScale),
       quarantinedPaths_(engine.numQuarantined())
 {

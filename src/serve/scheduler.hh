@@ -56,14 +56,11 @@ namespace vitdyn
 
 struct ServeSchedulerOptions
 {
-    /** Queued-request cap (also the admission hard limit). */
-    size_t queueCapacity = 4096;
-
     /** Max requests fused into one engine dispatch. */
     size_t maxBatch = 8;
 
-    /** Admission policy; queueCapacity here wins over the copy
-     *  inside (they are kept consistent by the constructor). */
+    /** Admission policy; its queueCapacity (the hard submit limit)
+     *  also sizes the request queue. */
     AdmissionOptions admission;
 
     /** Wall ms per LUT cost unit before online calibration. */

@@ -10,7 +10,7 @@
  * (shard, block). Each output element is computed by exactly one tile
  * call that accumulates over ascending l, so neither the shard
  * boundaries (thread count) nor the column block changes a bit of the
- * result; with an exact-flavor tile the output is memcmp-identical to
+ * result; the tile is exact, so the output is memcmp-identical to
  * the scalar reference loop
  *
  *     out[i][j] = bias[i];  for l ascending: out[i][j] += w[i][l] * col[l][j]

@@ -120,7 +120,7 @@ enumerateConvPlans(const Conv2dShapeKey &key,
     const auto push = [&plans](const Conv2dPlan &p) {
         for (const Conv2dPlan &q : plans)
             if (q.algo == p.algo && q.colBlock == p.colBlock &&
-                q.isa == p.isa && q.fma == p.fma)
+                q.isa == p.isa)
                 return;
         plans.push_back(p);
     };
@@ -168,12 +168,7 @@ enumerateConvPlans(const Conv2dShapeKey &key,
         plan.algo = Conv2dAlgo::Im2col;
         plan.colBlock = block;
         plan.isa = activeIsa();
-        plan.fma = false;
         push(plan);
-        if (opts.allowFma && plan.isa != IsaLevel::Scalar) {
-            plan.fma = true;
-            push(plan);
-        }
     }
     return plans;
 }
@@ -257,8 +252,7 @@ ConvPlanCache::tuneLocked(const Conv2dShapeKey &key,
             span.arg("winner", best.algo == Conv2dAlgo::Im2col
                                    ? std::string("im2col.") +
                                          isaName(best.isa) + ".b" +
-                                         std::to_string(best.colBlock) +
-                                         (best.fma ? ".fma" : "")
+                                         std::to_string(best.colBlock)
                                    : "direct");
             span.arg("ms", std::to_string(best_ms));
         }

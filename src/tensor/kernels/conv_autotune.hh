@@ -11,12 +11,10 @@
  * warmupWeights() and installs them in its per-layer Conv2dWorkspace,
  * so steady-state frames pay nothing.
  *
- * Determinism: every candidate the tuner enumerates by default uses
- * the exact (non-fma) kernel flavors, and those are all bit-identical
- * to each other and to the seed scalar kernels. Timing noise can
+ * Determinism: every candidate the tuner enumerates is bit-identical
+ * to every other and to the seed scalar kernels. Timing noise can
  * therefore change which plan wins, but never what the convolution
- * computes. Opting in to fma candidates (allowFma) trades that
- * guarantee for the documented ULP bound.
+ * computes.
  */
 
 #ifndef VITDYN_TENSOR_KERNELS_CONV_AUTOTUNE_HH
@@ -38,12 +36,6 @@ struct ConvAutotuneOptions
     /** Master switch; off means warmup installs no plans and conv2d
      *  keeps using the static Auto heuristic. */
     bool enabled = false;
-
-    /** Also enumerate fma-flavor GEMM candidates. Off by default:
-     *  fma output deviates from the scalar reference (within the ULP
-     *  bound documented in kernels.hh), so CI and any bit-exactness
-     *  consumer must leave this off. */
-    bool allowFma = false;
 
     /** Timed runs per candidate; the minimum is kept. */
     int repeats = 1;
@@ -93,11 +85,10 @@ struct Conv2dShapeKey
  * loses by an order of magnitude and a single timed run would eat the
  * whole budget), and — when the shape is im2col-feasible (groups ==
  * 1, sane column footprint) — Im2col crossed with the distinct
- * column-block sizes on the active ISA (plus fma flavors when opted
- * in). Only the active ISA is enumerated: its kernels dominate every
- * lower level pointwise (same arithmetic, wider units), so scalar
- * candidates would spend budget to lose; under VITDYN_ISA=scalar the
- * whole set is scalar plans. Grouped convolutions never yield an
+ * column-block sizes on the active ISA. Only the active ISA is
+ * enumerated: its kernels dominate every lower level pointwise (same
+ * arithmetic, wider units), so scalar candidates would spend budget
+ * to lose; under VITDYN_ISA=scalar the whole set is scalar plans. Grouped convolutions never yield an
  * Im2col candidate.
  */
 std::vector<Conv2dPlan> enumerateConvPlans(const Conv2dShapeKey &key,

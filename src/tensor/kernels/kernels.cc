@@ -3,8 +3,7 @@
  * Scalar reference microkernels and the one-time ISA dispatch.
  *
  * The scalar implementations here are the normative semantics: every
- * SIMD variant is tested against them (memcmp for the exact flavors
- * and the integer kernels, ULP-bounded for the fma flavors). They are
+ * SIMD variant is tested against them with memcmp. They are
  * deliberately written with the same per-element accumulation order
  * as the seed loops in ops_conv.cc / ops_linear.cc / quant.cc, so
  * VITDYN_ISA=scalar reproduces the pre-SIMD outputs bit-for-bit.
@@ -91,10 +90,6 @@ namespace
 const Microkernels kScalarKernels = {
     IsaLevel::Scalar,
     kernels::gemmTileScalar,
-    // The scalar "fma" flavor is the exact kernel: without hardware
-    // fused multiply-add the two flavors coincide, and parity tests
-    // may call either entry on any ISA.
-    kernels::gemmTileScalar,
     kernels::axpyScalar,
     kernels::dotS8Scalar,
     kernels::quantizeScalar,
@@ -104,7 +99,7 @@ const Microkernels kScalarKernels = {
 } // namespace
 
 #if defined(VITDYN_HAVE_KERNELS_AVX2)
-// Defined in kernels_avx2.cc (compiled with -mavx2 -mfma).
+// Defined in kernels_avx2.cc (compiled with -mavx2).
 const Microkernels &avx2Microkernels();
 #endif
 #if defined(VITDYN_HAVE_KERNELS_NEON)
@@ -159,8 +154,7 @@ isaAvailable(IsaLevel isa)
         return true;
       case IsaLevel::Avx2:
 #if defined(VITDYN_HAVE_KERNELS_AVX2)
-        return __builtin_cpu_supports("avx2") &&
-               __builtin_cpu_supports("fma");
+        return __builtin_cpu_supports("avx2");
 #else
         return false;
 #endif

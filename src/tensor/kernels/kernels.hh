@@ -4,26 +4,19 @@
  *
  * The kernels in tensor/ops_*.cc and tensor/quant.cc were written as
  * scalar reference loops; this layer lets the hot inner loops run
- * vectorized (AVX2+FMA on x86-64, NEON on aarch64) while preserving
- * the repository's determinism contract:
+ * vectorized (AVX2 on x86-64, NEON on aarch64) while preserving the
+ * repository's determinism contract:
  *
  *  - Per algorithm, results are bit-identical at any thread count:
  *    every kernel fixes its per-element accumulation order
  *    independently of how parallelFor shards the outer loop.
- *  - The "exact" flavors (gemmTileExact, axpyF32, every int8 and
- *    quantize kernel) are memcmp-identical to the scalar reference:
- *    float kernels vectorize across *independent output elements*
- *    only, keeping each element's mul-then-add rounding sequence, and
+ *  - Every kernel is memcmp-identical to the scalar reference: float
+ *    kernels vectorize across *independent output elements* only,
+ *    keeping each element's mul-then-add rounding sequence, and
  *    integer accumulation is order-free.
- *  - The "fma" flavors fuse each multiply-add into one rounding. They
- *    deviate from scalar by at most one rounding per accumulation
- *    step — |fma - exact| <= len * eps * (|bias| + sum_l |w_l * c_l|)
- *    elementwise — and are only reachable through opt-in execution
- *    plans (see kernels/conv_autotune.hh), never through the default
- *    dispatch.
  *
  * Selection happens once per process: detectBestIsa() probes the CPU
- * (AVX2+FMA via cpuid on x86-64; NEON is architectural baseline on
+ * (AVX2 via cpuid on x86-64; NEON is architectural baseline on
  * aarch64), and the VITDYN_ISA environment variable ("scalar",
  * "avx2", "neon", "native") overrides it. VITDYN_ISA=scalar restores
  * the pre-SIMD kernels bit-for-bit.
@@ -41,7 +34,7 @@ namespace vitdyn
 enum class IsaLevel
 {
     Scalar = 0, ///< Portable reference loops (the seed kernels).
-    Avx2 = 1,   ///< x86-64 AVX2 (+FMA for the fma flavors).
+    Avx2 = 1,   ///< x86-64 AVX2.
     Neon = 2,   ///< aarch64 Advanced SIMD.
 };
 
@@ -63,7 +56,7 @@ const char *isaName(IsaLevel isa);
 bool parseIsaName(const char *token, IsaLevel *out);
 
 /**
- * Signature shared by the GEMM tile flavors: an (kb, jb) block of
+ * Signature of the GEMM tile kernel: an (kb, jb) block of
  * out = w x col + bias with leading dimensions ldw/ldc/ldo.
  */
 using GemmTileFn = void (*)(const float *w, int64_t ldw, const float *col,
@@ -81,7 +74,7 @@ struct Microkernels
     IsaLevel isa = IsaLevel::Scalar;
 
     /**
-     * Dense GEMM tile, exact flavor:
+     * Dense GEMM tile:
      *   out[i*ldo + j] = bias[i] + sum_{l=0..len} w[i*ldw + l] *
      *                    col[l*ldc + j]
      * for i in [0, kb), j in [0, jb); bias == nullptr reads as 0.
@@ -90,13 +83,6 @@ struct Microkernels
      * the scalar reference for any (kb, jb) blocking.
      */
     GemmTileFn gemmTileExact;
-
-    /**
-     * Same tile and accumulation order, but each step is a fused
-     * multiply-add (single rounding). ULP-bounded deviation from the
-     * exact flavor (see file comment); only used by opt-in plans.
-     */
-    GemmTileFn gemmTileFma;
 
     /**
      * y[j] += a * x[j] for j in [0, n) — mul then add, separately

@@ -1,19 +1,18 @@
 /**
  * @file
- * AVX2 (+FMA) microkernels.
+ * AVX2 microkernels.
  *
- * This translation unit is compiled with -mavx2 -mfma
- * -ffp-contract=off (see src/CMakeLists.txt). -ffp-contract=off is
- * load-bearing: the exact-flavor kernels pair _mm256_mul_ps with
- * _mm256_add_ps to reproduce the scalar reference's two-rounding
- * multiply-then-add per accumulation step, and the compiler must not
- * contract that pair into a fused multiply-add. Only gemmTileFma uses
- * _mm256_fmadd_ps, and it is reachable solely through opt-in
- * execution plans.
+ * This translation unit is compiled with -mavx2 -ffp-contract=off
+ * (see src/CMakeLists.txt). -ffp-contract=off is load-bearing: the
+ * float kernels pair _mm256_mul_ps with _mm256_add_ps to reproduce the
+ * scalar reference's two-rounding multiply-then-add per accumulation
+ * step, and the compiler must not contract that pair into a fused
+ * multiply-add (a toolchain that enables FMA by default would
+ * otherwise change the bits).
  *
  * Vectorization here is always across independent output elements
  * (the j/column axis); each element's accumulation still walks l in
- * ascending order, so exact-flavor results are memcmp-identical to
+ * ascending order, so results are memcmp-identical to
  * kernels::gemmTileScalar for any blocking.
  */
 
@@ -169,90 +168,6 @@ gemmTileExactAvx2(const float *w, int64_t ldw, const float *col,
 }
 
 void
-gemmTileFmaAvx2(const float *w, int64_t ldw, const float *col, int64_t ldc,
-                const float *bias, float *out, int64_t ldo, int64_t kb,
-                int64_t jb, int64_t len)
-{
-    int64_t j = 0;
-    for (; j + 16 <= jb; j += 16) {
-        int64_t i = 0;
-        for (; i + 4 <= kb; i += 4) {
-            __m256 b0 = _mm256_set1_ps(bias ? bias[i + 0] : 0.0f);
-            __m256 b1 = _mm256_set1_ps(bias ? bias[i + 1] : 0.0f);
-            __m256 b2 = _mm256_set1_ps(bias ? bias[i + 2] : 0.0f);
-            __m256 b3 = _mm256_set1_ps(bias ? bias[i + 3] : 0.0f);
-            __m256 a0l = b0, a0h = b0;
-            __m256 a1l = b1, a1h = b1;
-            __m256 a2l = b2, a2h = b2;
-            __m256 a3l = b3, a3h = b3;
-            const float *w0 = w + (i + 0) * ldw;
-            const float *w1 = w + (i + 1) * ldw;
-            const float *w2 = w + (i + 2) * ldw;
-            const float *w3 = w + (i + 3) * ldw;
-            for (int64_t l = 0; l < len; ++l) {
-                const float *crow = col + l * ldc + j;
-                const __m256 cl = _mm256_loadu_ps(crow);
-                const __m256 ch = _mm256_loadu_ps(crow + 8);
-                const __m256 v0 = _mm256_set1_ps(w0[l]);
-                a0l = _mm256_fmadd_ps(v0, cl, a0l);
-                a0h = _mm256_fmadd_ps(v0, ch, a0h);
-                const __m256 v1 = _mm256_set1_ps(w1[l]);
-                a1l = _mm256_fmadd_ps(v1, cl, a1l);
-                a1h = _mm256_fmadd_ps(v1, ch, a1h);
-                const __m256 v2 = _mm256_set1_ps(w2[l]);
-                a2l = _mm256_fmadd_ps(v2, cl, a2l);
-                a2h = _mm256_fmadd_ps(v2, ch, a2h);
-                const __m256 v3 = _mm256_set1_ps(w3[l]);
-                a3l = _mm256_fmadd_ps(v3, cl, a3l);
-                a3h = _mm256_fmadd_ps(v3, ch, a3h);
-            }
-            float *o = out + i * ldo + j;
-            _mm256_storeu_ps(o, a0l);
-            _mm256_storeu_ps(o + 8, a0h);
-            _mm256_storeu_ps(o + ldo, a1l);
-            _mm256_storeu_ps(o + ldo + 8, a1h);
-            _mm256_storeu_ps(o + 2 * ldo, a2l);
-            _mm256_storeu_ps(o + 2 * ldo + 8, a2h);
-            _mm256_storeu_ps(o + 3 * ldo, a3l);
-            _mm256_storeu_ps(o + 3 * ldo + 8, a3h);
-        }
-        for (; i < kb; ++i) {
-            const __m256 b = _mm256_set1_ps(bias ? bias[i] : 0.0f);
-            __m256 al = b, ah = b;
-            const float *wr = w + i * ldw;
-            for (int64_t l = 0; l < len; ++l) {
-                const float *crow = col + l * ldc + j;
-                const __m256 v = _mm256_set1_ps(wr[l]);
-                al = _mm256_fmadd_ps(v, _mm256_loadu_ps(crow), al);
-                ah = _mm256_fmadd_ps(v, _mm256_loadu_ps(crow + 8), ah);
-            }
-            _mm256_storeu_ps(out + i * ldo + j, al);
-            _mm256_storeu_ps(out + i * ldo + j + 8, ah);
-        }
-    }
-    for (; j + 8 <= jb; j += 8) {
-        for (int64_t i = 0; i < kb; ++i) {
-            __m256 acc = _mm256_set1_ps(bias ? bias[i] : 0.0f);
-            const float *wr = w + i * ldw;
-            for (int64_t l = 0; l < len; ++l)
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(wr[l]),
-                                      _mm256_loadu_ps(col + l * ldc + j),
-                                      acc);
-            _mm256_storeu_ps(out + i * ldo + j, acc);
-        }
-    }
-    for (; j < jb; ++j) {
-        for (int64_t i = 0; i < kb; ++i) {
-            float acc = bias ? bias[i] : 0.0f;
-            const float *wr = w + i * ldw;
-            for (int64_t l = 0; l < len; ++l)
-                acc = std::fma(wr[l], col[l * ldc + j], acc);
-            out[i * ldo + j] = acc;
-        }
-    }
-}
-
-void
 axpyAvx2(float a, const float *x, float *y, int64_t n)
 {
     const __m256 av = _mm256_set1_ps(a);
@@ -368,8 +283,8 @@ dequantizeAvx2(const int8_t *q, float scale, float *out, int64_t n)
 }
 
 const Microkernels kAvx2Kernels = {
-    IsaLevel::Avx2,     gemmTileExactAvx2, gemmTileFmaAvx2, axpyAvx2,
-    dotS8Avx2,          quantizeAvx2,      dequantizeAvx2,
+    IsaLevel::Avx2, gemmTileExactAvx2, axpyAvx2,      dotS8Avx2,
+    quantizeAvx2,   dequantizeAvx2,
 };
 
 } // namespace

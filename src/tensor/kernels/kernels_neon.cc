@@ -3,19 +3,19 @@
  * aarch64 Advanced SIMD (NEON) microkernels.
  *
  * Compiled only on aarch64 (see src/CMakeLists.txt) with
- * -ffp-contract=off: the exact flavors pair vmulq_f32 with vaddq_f32
+ * -ffp-contract=off: the float kernels pair vmulq_f32 with vaddq_f32
  * to keep the scalar reference's two-rounding multiply-then-add per
  * accumulation step, and the compiler must not contract the pair into
- * fmla. Only gemmTileFma uses vfmaq_f32. As in kernels_avx2.cc,
- * vectorization is across independent output columns with each
- * element walking l in ascending order, so exact-flavor results stay
- * memcmp-identical to kernels::gemmTileScalar.
+ * fmla. As in kernels_avx2.cc, vectorization is across independent
+ * output columns with each element walking l in ascending order, so
+ * results stay memcmp-identical to kernels::gemmTileScalar.
  */
 
 #if defined(VITDYN_HAVE_KERNELS_NEON)
 
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/kernels/kernels.hh"
@@ -105,75 +105,6 @@ gemmTileExactNeon(const float *w, int64_t ldw, const float *col,
             const float *wr = w + i * ldw;
             for (int64_t l = 0; l < len; ++l)
                 acc += wr[l] * col[l * ldc + j];
-            out[i * ldo + j] = acc;
-        }
-    }
-}
-
-void
-gemmTileFmaNeon(const float *w, int64_t ldw, const float *col, int64_t ldc,
-                const float *bias, float *out, int64_t ldo, int64_t kb,
-                int64_t jb, int64_t len)
-{
-    int64_t j = 0;
-    for (; j + 8 <= jb; j += 8) {
-        int64_t i = 0;
-        for (; i + 4 <= kb; i += 4) {
-            float32x4_t a0l = vdupq_n_f32(bias ? bias[i + 0] : 0.0f);
-            float32x4_t a0h = a0l;
-            float32x4_t a1l = vdupq_n_f32(bias ? bias[i + 1] : 0.0f);
-            float32x4_t a1h = a1l;
-            float32x4_t a2l = vdupq_n_f32(bias ? bias[i + 2] : 0.0f);
-            float32x4_t a2h = a2l;
-            float32x4_t a3l = vdupq_n_f32(bias ? bias[i + 3] : 0.0f);
-            float32x4_t a3h = a3l;
-            const float *w0 = w + (i + 0) * ldw;
-            const float *w1 = w + (i + 1) * ldw;
-            const float *w2 = w + (i + 2) * ldw;
-            const float *w3 = w + (i + 3) * ldw;
-            for (int64_t l = 0; l < len; ++l) {
-                const float *crow = col + l * ldc + j;
-                const float32x4_t cl = vld1q_f32(crow);
-                const float32x4_t ch = vld1q_f32(crow + 4);
-                a0l = vfmaq_f32(a0l, vdupq_n_f32(w0[l]), cl);
-                a0h = vfmaq_f32(a0h, vdupq_n_f32(w0[l]), ch);
-                a1l = vfmaq_f32(a1l, vdupq_n_f32(w1[l]), cl);
-                a1h = vfmaq_f32(a1h, vdupq_n_f32(w1[l]), ch);
-                a2l = vfmaq_f32(a2l, vdupq_n_f32(w2[l]), cl);
-                a2h = vfmaq_f32(a2h, vdupq_n_f32(w2[l]), ch);
-                a3l = vfmaq_f32(a3l, vdupq_n_f32(w3[l]), cl);
-                a3h = vfmaq_f32(a3h, vdupq_n_f32(w3[l]), ch);
-            }
-            float *o = out + i * ldo + j;
-            vst1q_f32(o, a0l);
-            vst1q_f32(o + 4, a0h);
-            vst1q_f32(o + ldo, a1l);
-            vst1q_f32(o + ldo + 4, a1h);
-            vst1q_f32(o + 2 * ldo, a2l);
-            vst1q_f32(o + 2 * ldo + 4, a2h);
-            vst1q_f32(o + 3 * ldo, a3l);
-            vst1q_f32(o + 3 * ldo + 4, a3h);
-        }
-        for (; i < kb; ++i) {
-            float32x4_t al = vdupq_n_f32(bias ? bias[i] : 0.0f);
-            float32x4_t ah = al;
-            const float *wr = w + i * ldw;
-            for (int64_t l = 0; l < len; ++l) {
-                const float *crow = col + l * ldc + j;
-                const float32x4_t v = vdupq_n_f32(wr[l]);
-                al = vfmaq_f32(al, v, vld1q_f32(crow));
-                ah = vfmaq_f32(ah, v, vld1q_f32(crow + 4));
-            }
-            vst1q_f32(out + i * ldo + j, al);
-            vst1q_f32(out + i * ldo + j + 4, ah);
-        }
-    }
-    for (; j < jb; ++j) {
-        for (int64_t i = 0; i < kb; ++i) {
-            float acc = bias ? bias[i] : 0.0f;
-            const float *wr = w + i * ldw;
-            for (int64_t l = 0; l < len; ++l)
-                acc = std::fma(wr[l], col[l * ldc + j], acc);
             out[i * ldo + j] = acc;
         }
     }
@@ -273,8 +204,8 @@ dequantizeNeon(const int8_t *q, float scale, float *out, int64_t n)
 }
 
 const Microkernels kNeonKernels = {
-    IsaLevel::Neon, gemmTileExactNeon, gemmTileFmaNeon, axpyNeon,
-    dotS8Neon,      quantizeNeon,      dequantizeNeon,
+    IsaLevel::Neon, gemmTileExactNeon, axpyNeon,      dotS8Neon,
+    quantizeNeon,   dequantizeNeon,
 };
 
 } // namespace

@@ -57,12 +57,9 @@ enum class Conv2dAlgo
 
 /**
  * Fully resolved conv2d execution plan: which algorithm, which GEMM
- * column block, which microkernel ISA, and whether the fma-flavor
- * GEMM tile may be used. Every plan with fma == false produces
- * bit-identical output to every other non-fma plan (and to the seed
- * scalar kernels) at any thread count; fma == true deviates within
- * the documented ULP bound and is only ever chosen by an explicitly
- * opted-in autotuner (ConvAutotuneOptions::allowFma).
+ * column block and which microkernel ISA. Every plan produces
+ * bit-identical output to every other plan (and to the seed scalar
+ * kernels) at any thread count.
  */
 struct Conv2dPlan
 {
@@ -70,7 +67,6 @@ struct Conv2dPlan
     /** GEMM column block; clamped to [1, kMaxGemmTileCols]. */
     int64_t colBlock = 128;
     IsaLevel isa = IsaLevel::Scalar;
-    bool fma = false;
 };
 
 /**

@@ -231,9 +231,7 @@ conv2dIm2col(const Tensor &input, const Tensor &weight, const Tensor &bias,
 
         // out_n(K, PQ) = W(K, len) x col(len, PQ) + bias through the
         // shared GEMM driver and the plan's tile microkernel.
-        const Microkernels &mk = kernelsFor(plan.isa);
-        gemm(plan.fma ? mk.gemmTileFma : mk.gemmTileExact,
-             {k, pq, len, len, pq, pq},
+        gemm(kernelsFor(plan.isa).gemmTileExact, {k, pq, len, len, pq, pq},
              {wp, col, bias.numel() ? bias.data() : nullptr,
               out.data() + nn * k * pq},
              plan.colBlock);
@@ -269,7 +267,6 @@ conv2dAutoPlan(const Shape &input_shape, const Shape &weight_shape,
     Conv2dPlan plan;
     plan.isa = activeIsa();
     plan.colBlock = 128;
-    plan.fma = false;
     // GEMM pays off once the layer is non-trivial and the column
     // matrix stays within a sane footprint. The whole batch runs
     // through one column matrix per image, so the FLOP side of the

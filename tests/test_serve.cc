@@ -524,7 +524,7 @@ TEST(ServeScheduler, ConcurrentSubmissionsAllComplete)
     DrtEngine engine(ModelFamily::Segformer, tinyBase(), SwinConfig{},
                      AccuracyResourceLut(tinyPoints(), "ms"), 17);
     ServeSchedulerOptions options;
-    options.queueCapacity = 64;
+    options.admission.queueCapacity = 64;
     options.maxBatch = 4;
     options.initialCostScale = 1e-6; // don't predict infeasibility
     ServeScheduler scheduler(engine, options);
@@ -565,6 +565,59 @@ TEST(ServeScheduler, ConcurrentSubmissionsAllComplete)
               static_cast<uint64_t>(kThreads * kPerThread));
     EXPECT_EQ(stats.completed, stats.submitted);
     expectExactlyOneOutcomeEach(stats);
+}
+
+TEST(ServeScheduler, AdmissionQueueCapacityBoundsTheQueue)
+{
+    // options.admission.queueCapacity is the one queue cap: it both
+    // rejects submits and sizes the request queue.
+    DrtEngine engine(ModelFamily::Segformer, tinyBase(), SwinConfig{},
+                     AccuracyResourceLut(tinyPoints(), "ms"), 17);
+    std::promise<void> latch;
+    std::shared_future<void> opened = latch.get_future().share();
+    std::promise<void> entered;
+    std::atomic<bool> signalled{false};
+    for (size_t i = 0; i < engine.numPaths(); ++i)
+        engine.pathExecutor(i).setPostLayerHook(
+            [&entered, &signalled, opened](const Layer &, Tensor &) {
+                if (!signalled.exchange(true))
+                    entered.set_value();
+                opened.wait();
+            });
+
+    ServeSchedulerOptions options;
+    options.maxBatch = 1;
+    options.initialCostScale = 1e-9;
+    options.admission.queueCapacity = 2;
+    ServeScheduler scheduler(engine, options);
+    auto submit = [&scheduler](uint64_t seed) {
+        ServeRequest request;
+        request.image = testImage(seed);
+        request.budget = 1000.0;
+        request.priority = ServeClass::Interactive;
+        return scheduler.submit(std::move(request));
+    };
+
+    std::vector<std::future<ServeResponse>> admitted;
+    admitted.push_back(submit(1));
+    // The dispatcher now holds request 1 and the queue is empty.
+    entered.get_future().wait();
+    admitted.push_back(submit(2));
+    admitted.push_back(submit(3));
+    std::future<ServeResponse> over = submit(4);
+    // A rejection is answered inside submit(); check before the
+    // dispatcher is released, so a queued request cannot pass.
+    const bool answered = over.wait_for(std::chrono::seconds(0)) ==
+                          std::future_status::ready;
+    latch.set_value();
+
+    ASSERT_TRUE(answered) << "the 4th request was queued past capacity";
+    EXPECT_EQ(over.get().status.code(), StatusCode::Rejected);
+    for (auto &response : admitted)
+        EXPECT_TRUE(response.get().status.isOk());
+    scheduler.shutdown(true);
+    EXPECT_EQ(scheduler.stats().rejected, 1u);
+    expectExactlyOneOutcomeEach(scheduler.stats());
 }
 
 /** What runExpiryBehindFillers observed. */

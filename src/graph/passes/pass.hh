@@ -25,9 +25,9 @@
  *    are likewise invariants: fused layers absorb the accounting of
  *    the layers they replace.
  *
- * To add a pass: subclass Pass in a new passes/*.cc, return the
- * rewrite count from run(), add a factory to passes.hh, and register
- * the factory in the name table in pass.cc. The fuzz property suite
+ * To add a pass: subclass Pass in a new .cc file under passes/,
+ * return the rewrite count from run(), add a factory to passes.hh, and
+ * register the factory in the name table in pass.cc. The fuzz property suite
  * (test_graph_fuzz) and the lint gate then cover it automatically
  * when it joins standardPipeline().
  */

@@ -7,6 +7,30 @@
 namespace vitdyn
 {
 
+namespace
+{
+
+/** row[0, n) = v, unrolled so the compiler emits vector stores. */
+void
+seedRow(float *row, int64_t n, float v)
+{
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        row[j] = v;
+        row[j + 1] = v;
+        row[j + 2] = v;
+        row[j + 3] = v;
+        row[j + 4] = v;
+        row[j + 5] = v;
+        row[j + 6] = v;
+        row[j + 7] = v;
+    }
+    for (; j < n; ++j)
+        row[j] = v;
+}
+
+} // namespace
+
 void
 gemmBatched(GemmTileFn tile, const GemmDims &d, int64_t batch,
             const std::function<GemmOperands(int64_t)> &operands,
@@ -27,11 +51,16 @@ gemmBatched(GemmTileFn tile, const GemmDims &d, int64_t batch,
             const float *w = op.w + i0 * d.ldw;
             const float *bias = op.bias ? op.bias + i0 : nullptr;
             float *out = op.out + i0 * d.ldo;
-            // Column blocks keep `col` rows hot across the shard's rows.
+            // Column blocks keep `col` rows hot across the shard's rows;
+            // l chunks keep the block's col panel hot across them.
             for (int64_t j0 = 0; j0 < d.n; j0 += jblock) {
                 const int64_t jb = std::min(jblock, d.n - j0);
-                tile(w, d.ldw, op.col + j0, d.ldc, bias, out + j0, d.ldo,
-                     kb, jb, d.len);
+                for (int64_t i = 0; i < kb; ++i)
+                    seedRow(out + i * d.ldo + j0, jb, bias ? bias[i] : 0.0f);
+                for (int64_t l0 = 0; l0 < d.len; l0 += kGemmChunkLen)
+                    tile(w + l0, d.ldw, op.col + l0 * d.ldc + j0, d.ldc,
+                         out + j0, d.ldo, kb, jb,
+                         std::min(kGemmChunkLen, d.len - l0));
                 if (epilogue)
                     epilogue(b, i0, i0 + kb, j0, j0 + jb);
             }

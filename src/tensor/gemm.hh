@@ -6,16 +6,22 @@
  *
  * The driver owns the loop structure around a GEMM tile microkernel
  * (kernels/kernels.hh): parallelFor over output rows, column blocks
- * of at most kMaxGemmTileCols inside each shard, one tile call per
- * (shard, block). Each output element is computed by exactly one tile
- * call that accumulates over ascending l, so neither the shard
- * boundaries (thread count) nor the column block changes a bit of the
- * result; the tile is exact, so the output is memcmp-identical to
- * the scalar reference loop
+ * of at most kMaxGemmTileCols inside each shard, and inside each
+ * (shard, block) the accumulation axis in chunks of kGemmChunkLen.
+ * The driver seeds the block with bias[i] (or +0.0f), then calls the
+ * tile once per chunk in ascending order; the tile adds the chunk's
+ * products onto the partial sums the previous chunk parked in `out`.
+ * A float store and reload is exact, so each output element still
+ * sees exactly the scalar reference loop
  *
  *     out[i][j] = bias[i];  for l ascending: out[i][j] += w[i][l] * col[l][j]
  *
- * with the product and the sum rounded separately.
+ * with the product and the sum rounded separately, and neither the
+ * shard boundaries (thread count), the column block nor the chunk
+ * length changes a bit of the result. The chunk keeps the col panel a
+ * tile streams (kGemmChunkLen x block columns) cache-resident however
+ * long the accumulation is, as an output-stationary accelerator tiles
+ * its reduction axis and keeps partial sums in place.
  */
 
 #ifndef VITDYN_TENSOR_GEMM_HH
@@ -31,6 +37,9 @@ namespace vitdyn
 
 /** Column block for callers without a tuned plan. */
 constexpr int64_t kDefaultGemmColBlock = 128;
+
+/** Accumulation-axis chunk: one tile call covers at most this many l. */
+constexpr int64_t kGemmChunkLen = 256;
 
 /** Extents and leading dimensions shared by every problem of a call. */
 struct GemmDims
@@ -55,9 +64,9 @@ struct GemmOperands
 
 /**
  * Optional per-block hook: called by the shard that has just finished
- * out rows [i0, i1) x columns [j0, j1) of problem b, while that block
- * is still in cache. It may rewrite or copy out the block's elements
- * and nothing else.
+ * out rows [i0, i1) x columns [j0, j1) of problem b (after the block's
+ * last accumulation chunk), while that block is still in cache. It may
+ * rewrite or copy out the block's elements and nothing else.
  */
 using GemmEpilogue = std::function<void(int64_t b, int64_t i0, int64_t i1,
                                         int64_t j0, int64_t j1)>;

@@ -25,17 +25,17 @@ namespace kernels
 
 void
 gemmTileScalar(const float *w, int64_t ldw, const float *col, int64_t ldc,
-               const float *bias, float *out, int64_t ldo, int64_t kb,
-               int64_t jb, int64_t len)
+               float *out, int64_t ldo, int64_t kb, int64_t jb,
+               int64_t len)
 {
     // l-outer / j-inner with a stack accumulator row: the same
     // blocked-GEMM structure (and the same per-element ascending-l,
     // mul-then-add arithmetic) as the seed conv2dIm2col inner loop.
     float acc[kMaxGemmTileCols];
     for (int64_t i = 0; i < kb; ++i) {
-        const float b = bias ? bias[i] : 0.0f;
+        float *orow = out + i * ldo;
         for (int64_t j = 0; j < jb; ++j)
-            acc[j] = b;
+            acc[j] = orow[j];
         const float *wr = w + i * ldw;
         for (int64_t l = 0; l < len; ++l) {
             const float a = wr[l];
@@ -43,7 +43,6 @@ gemmTileScalar(const float *w, int64_t ldw, const float *col, int64_t ldc,
             for (int64_t j = 0; j < jb; ++j)
                 acc[j] += a * crow[j];
         }
-        float *orow = out + i * ldo;
         for (int64_t j = 0; j < jb; ++j)
             orow[j] = acc[j];
     }
@@ -102,6 +101,10 @@ const Microkernels kScalarKernels = {
 // Defined in kernels_avx2.cc (compiled with -mavx2).
 const Microkernels &avx2Microkernels();
 #endif
+#if defined(VITDYN_HAVE_KERNELS_AVX512)
+// Defined in kernels_avx512.cc (compiled with -mavx512f).
+const Microkernels &avx512Microkernels();
+#endif
 #if defined(VITDYN_HAVE_KERNELS_NEON)
 // Defined in kernels_neon.cc.
 const Microkernels &neonMicrokernels();
@@ -115,6 +118,8 @@ isaName(IsaLevel isa)
         return "scalar";
       case IsaLevel::Avx2:
         return "avx2";
+      case IsaLevel::Avx512:
+        return "avx512";
       case IsaLevel::Neon:
         return "neon";
     }
@@ -133,6 +138,10 @@ parseIsaName(const char *token, IsaLevel *out)
     }
     if (s == "avx2") {
         *out = IsaLevel::Avx2;
+        return true;
+    }
+    if (s == "avx512") {
+        *out = IsaLevel::Avx512;
         return true;
     }
     if (s == "neon") {
@@ -158,6 +167,15 @@ isaAvailable(IsaLevel isa)
 #else
         return false;
 #endif
+      case IsaLevel::Avx512:
+#if defined(VITDYN_HAVE_KERNELS_AVX512)
+        // The AVX-512 set reuses the AVX2 entries off the GEMM tile;
+        // every AVX-512F CPU has AVX2, but check rather than assume.
+        return __builtin_cpu_supports("avx512f") &&
+               __builtin_cpu_supports("avx2");
+#else
+        return false;
+#endif
       case IsaLevel::Neon:
 #if defined(VITDYN_HAVE_KERNELS_NEON)
         // Advanced SIMD is architectural baseline on aarch64.
@@ -176,6 +194,10 @@ kernelsFor(IsaLevel isa)
     if (isa == IsaLevel::Avx2 && isaAvailable(IsaLevel::Avx2))
         return avx2Microkernels();
 #endif
+#if defined(VITDYN_HAVE_KERNELS_AVX512)
+    if (isa == IsaLevel::Avx512 && isaAvailable(IsaLevel::Avx512))
+        return avx512Microkernels();
+#endif
 #if defined(VITDYN_HAVE_KERNELS_NEON)
     if (isa == IsaLevel::Neon && isaAvailable(IsaLevel::Neon))
         return neonMicrokernels();
@@ -187,6 +209,8 @@ kernelsFor(IsaLevel isa)
 IsaLevel
 detectBestIsa()
 {
+    if (isaAvailable(IsaLevel::Avx512))
+        return IsaLevel::Avx512;
     if (isaAvailable(IsaLevel::Avx2))
         return IsaLevel::Avx2;
     if (isaAvailable(IsaLevel::Neon))
@@ -203,7 +227,7 @@ activeIsa()
             IsaLevel parsed;
             if (!parseIsaName(env, &parsed)) {
                 warn("VITDYN_ISA='", env,
-                     "' is not scalar/avx2/neon/native; using "
+                     "' is not scalar/avx2/avx512/neon/native; using "
                      "detection");
                 return detectBestIsa();
             }

@@ -4,8 +4,8 @@
  *
  * The kernels in tensor/ops_*.cc and tensor/quant.cc were written as
  * scalar reference loops; this layer lets the hot inner loops run
- * vectorized (AVX2 on x86-64, NEON on aarch64) while preserving the
- * repository's determinism contract:
+ * vectorized (AVX2 or AVX-512 on x86-64, NEON on aarch64) while
+ * preserving the repository's determinism contract:
  *
  *  - Per algorithm, results are bit-identical at any thread count:
  *    every kernel fixes its per-element accumulation order
@@ -15,11 +15,18 @@
  *    keeping each element's mul-then-add rounding sequence, and
  *    integer accumulation is order-free.
  *
+ * The GEMM tile accumulates into `out` (it reads the partial sums the
+ * previous call left there), so the GEMM driver (tensor/gemm.hh) can
+ * split the accumulation axis into chunks and park each element's
+ * running sum in `out` between them. A float store and reload is
+ * exact, so chunking leaves every element's rounding sequence — and
+ * its bits — unchanged.
+ *
  * Selection happens once per process: detectBestIsa() probes the CPU
- * (AVX2 via cpuid on x86-64; NEON is architectural baseline on
- * aarch64), and the VITDYN_ISA environment variable ("scalar",
- * "avx2", "neon", "native") overrides it. VITDYN_ISA=scalar restores
- * the pre-SIMD kernels bit-for-bit.
+ * (AVX-512F, then AVX2, via cpuid on x86-64; NEON is architectural
+ * baseline on aarch64), and the VITDYN_ISA environment variable
+ * ("scalar", "avx2", "avx512", "neon", "native") overrides it.
+ * VITDYN_ISA=scalar restores the pre-SIMD kernels bit-for-bit.
  */
 
 #ifndef VITDYN_TENSOR_KERNELS_KERNELS_HH
@@ -36,6 +43,7 @@ enum class IsaLevel
     Scalar = 0, ///< Portable reference loops (the seed kernels).
     Avx2 = 1,   ///< x86-64 AVX2.
     Neon = 2,   ///< aarch64 Advanced SIMD.
+    Avx512 = 3, ///< x86-64 AVX-512F (GEMM tile; AVX2 for the rest).
 };
 
 /**
@@ -45,11 +53,11 @@ enum class IsaLevel
  */
 constexpr int64_t kMaxGemmTileCols = 512;
 
-/** "scalar" / "avx2" / "neon" for tables and logs. */
+/** "scalar" / "avx2" / "avx512" / "neon" for tables and logs. */
 const char *isaName(IsaLevel isa);
 
 /**
- * Parse a VITDYN_ISA-style token ("scalar", "avx2", "neon",
+ * Parse a VITDYN_ISA-style token ("scalar", "avx2", "avx512", "neon",
  * "native"/"auto" = best available). Returns false on an unknown
  * token; @p out is untouched then.
  */
@@ -57,12 +65,11 @@ bool parseIsaName(const char *token, IsaLevel *out);
 
 /**
  * Signature of the GEMM tile kernel: an (kb, jb) block of
- * out = w x col + bias with leading dimensions ldw/ldc/ldo.
+ * out += w x col with leading dimensions ldw/ldc/ldo.
  */
 using GemmTileFn = void (*)(const float *w, int64_t ldw, const float *col,
-                            int64_t ldc, const float *bias, float *out,
-                            int64_t ldo, int64_t kb, int64_t jb,
-                            int64_t len);
+                            int64_t ldc, float *out, int64_t ldo,
+                            int64_t kb, int64_t jb, int64_t len);
 
 /**
  * One ISA's microkernel set. All pointers are always non-null: an ISA
@@ -75,12 +82,12 @@ struct Microkernels
 
     /**
      * Dense GEMM tile:
-     *   out[i*ldo + j] = bias[i] + sum_{l=0..len} w[i*ldw + l] *
-     *                    col[l*ldc + j]
-     * for i in [0, kb), j in [0, jb); bias == nullptr reads as 0.
-     * Each output element accumulates over ascending l with the
-     * product and the sum rounded separately — memcmp-identical to
-     * the scalar reference for any (kb, jb) blocking.
+     *   out[i*ldo + j] += sum_{l=0..len} w[i*ldw + l] * col[l*ldc + j]
+     * for i in [0, kb), j in [0, jb). Each output element starts from
+     * its current value in `out` and accumulates over ascending l with
+     * the product and the sum rounded separately — memcmp-identical to
+     * the scalar reference for any (kb, jb) blocking and any split of
+     * l into consecutive calls.
      */
     GemmTileFn gemmTileExact;
 

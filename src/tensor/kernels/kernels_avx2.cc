@@ -11,9 +11,9 @@
  * otherwise change the bits).
  *
  * Vectorization here is always across independent output elements
- * (the j/column axis); each element's accumulation still walks l in
- * ascending order, so results are memcmp-identical to
- * kernels::gemmTileScalar for any blocking.
+ * (the j/column axis); each element's accumulation starts from its
+ * value in `out` and still walks l in ascending order, so results are
+ * memcmp-identical to kernels::gemmTileScalar for any blocking.
  */
 
 #if defined(VITDYN_HAVE_KERNELS_AVX2)
@@ -40,13 +40,13 @@ namespace
 template <int R, bool Masked>
 inline void
 exactRows8(const float *w, int64_t ldw, const float *col, int64_t ldc,
-           const float *bias, float *out, int64_t ldo, int64_t len,
-           __m256i mask)
+           float *out, int64_t ldo, int64_t len, __m256i mask)
 {
     __m256 acc[R];
 #pragma GCC unroll 4
     for (int r = 0; r < R; ++r)
-        acc[r] = _mm256_set1_ps(bias ? bias[r] : 0.0f);
+        acc[r] = Masked ? _mm256_maskload_ps(out + r * ldo, mask)
+                        : _mm256_loadu_ps(out + r * ldo);
     for (int64_t l = 0; l < len; ++l) {
         const float *crow = col + l * ldc;
         const __m256 c = Masked ? _mm256_maskload_ps(crow, mask)
@@ -70,24 +70,22 @@ exactRows8(const float *w, int64_t ldw, const float *col, int64_t ldc,
 template <int R>
 inline void
 exactRows(const float *w, int64_t ldw, const float *col, int64_t ldc,
-          const float *bias, float *out, int64_t ldo, int64_t len,
-          int64_t cols)
+          float *out, int64_t ldo, int64_t len, int64_t cols)
 {
     if (cols == 8) {
-        exactRows8<R, false>(w, ldw, col, ldc, bias, out, ldo, len,
-                             __m256i{});
+        exactRows8<R, false>(w, ldw, col, ldc, out, ldo, len, __m256i{});
         return;
     }
     const __m256i mask =
         _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols)),
                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    exactRows8<R, true>(w, ldw, col, ldc, bias, out, ldo, len, mask);
+    exactRows8<R, true>(w, ldw, col, ldc, out, ldo, len, mask);
 }
 
 void
 gemmTileExactAvx2(const float *w, int64_t ldw, const float *col,
-                  int64_t ldc, const float *bias, float *out, int64_t ldo,
-                  int64_t kb, int64_t jb, int64_t len)
+                  int64_t ldc, float *out, int64_t ldo, int64_t kb,
+                  int64_t jb, int64_t len)
 {
     int64_t j = 0;
     // 4-row x 16-column register tile: 8 accumulators, 2 column
@@ -95,14 +93,15 @@ gemmTileExactAvx2(const float *w, int64_t ldw, const float *col,
     for (; j + 16 <= jb; j += 16) {
         int64_t i = 0;
         for (; i + 4 <= kb; i += 4) {
-            __m256 b0 = _mm256_set1_ps(bias ? bias[i + 0] : 0.0f);
-            __m256 b1 = _mm256_set1_ps(bias ? bias[i + 1] : 0.0f);
-            __m256 b2 = _mm256_set1_ps(bias ? bias[i + 2] : 0.0f);
-            __m256 b3 = _mm256_set1_ps(bias ? bias[i + 3] : 0.0f);
-            __m256 a0l = b0, a0h = b0;
-            __m256 a1l = b1, a1h = b1;
-            __m256 a2l = b2, a2h = b2;
-            __m256 a3l = b3, a3h = b3;
+            float *o = out + i * ldo + j;
+            __m256 a0l = _mm256_loadu_ps(o);
+            __m256 a0h = _mm256_loadu_ps(o + 8);
+            __m256 a1l = _mm256_loadu_ps(o + ldo);
+            __m256 a1h = _mm256_loadu_ps(o + ldo + 8);
+            __m256 a2l = _mm256_loadu_ps(o + 2 * ldo);
+            __m256 a2h = _mm256_loadu_ps(o + 2 * ldo + 8);
+            __m256 a3l = _mm256_loadu_ps(o + 3 * ldo);
+            __m256 a3h = _mm256_loadu_ps(o + 3 * ldo + 8);
             const float *w0 = w + (i + 0) * ldw;
             const float *w1 = w + (i + 1) * ldw;
             const float *w2 = w + (i + 2) * ldw;
@@ -124,7 +123,6 @@ gemmTileExactAvx2(const float *w, int64_t ldw, const float *col,
                 a3l = _mm256_add_ps(a3l, _mm256_mul_ps(v3, cl));
                 a3h = _mm256_add_ps(a3h, _mm256_mul_ps(v3, ch));
             }
-            float *o = out + i * ldo + j;
             _mm256_storeu_ps(o, a0l);
             _mm256_storeu_ps(o + 8, a0h);
             _mm256_storeu_ps(o + ldo, a1l);
@@ -135,8 +133,9 @@ gemmTileExactAvx2(const float *w, int64_t ldw, const float *col,
             _mm256_storeu_ps(o + 3 * ldo + 8, a3h);
         }
         for (; i < kb; ++i) {
-            const __m256 b = _mm256_set1_ps(bias ? bias[i] : 0.0f);
-            __m256 al = b, ah = b;
+            float *o = out + i * ldo + j;
+            __m256 al = _mm256_loadu_ps(o);
+            __m256 ah = _mm256_loadu_ps(o + 8);
             const float *wr = w + i * ldw;
             for (int64_t l = 0; l < len; ++l) {
                 const float *crow = col + l * ldc + j;
@@ -146,8 +145,8 @@ gemmTileExactAvx2(const float *w, int64_t ldw, const float *col,
                 ah = _mm256_add_ps(
                     ah, _mm256_mul_ps(v, _mm256_loadu_ps(crow + 8)));
             }
-            _mm256_storeu_ps(out + i * ldo + j, al);
-            _mm256_storeu_ps(out + i * ldo + j + 8, ah);
+            _mm256_storeu_ps(o, al);
+            _mm256_storeu_ps(o + 8, ah);
         }
     }
     // Narrow blocks (few tokens, few keys): 8 columns, or a masked
@@ -157,13 +156,11 @@ gemmTileExactAvx2(const float *w, int64_t ldw, const float *col,
         const int64_t cols = std::min<int64_t>(8, jb - j);
         int64_t i = 0;
         for (; i + 4 <= kb; i += 4)
-            exactRows<4>(w + i * ldw, ldw, col + j, ldc,
-                         bias ? bias + i : nullptr, out + i * ldo + j, ldo,
-                         len, cols);
+            exactRows<4>(w + i * ldw, ldw, col + j, ldc, out + i * ldo + j,
+                         ldo, len, cols);
         for (; i < kb; ++i)
-            exactRows<1>(w + i * ldw, ldw, col + j, ldc,
-                         bias ? bias + i : nullptr, out + i * ldo + j, ldo,
-                         len, cols);
+            exactRows<1>(w + i * ldw, ldw, col + j, ldc, out + i * ldo + j,
+                         ldo, len, cols);
     }
 }
 

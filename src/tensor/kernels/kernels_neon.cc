@@ -7,8 +7,9 @@
  * to keep the scalar reference's two-rounding multiply-then-add per
  * accumulation step, and the compiler must not contract the pair into
  * fmla. As in kernels_avx2.cc, vectorization is across independent
- * output columns with each element walking l in ascending order, so
- * results stay memcmp-identical to kernels::gemmTileScalar.
+ * output columns with each element starting from its value in `out`
+ * and walking l in ascending order, so results stay memcmp-identical
+ * to kernels::gemmTileScalar.
  */
 
 #if defined(VITDYN_HAVE_KERNELS_NEON)
@@ -28,22 +29,23 @@ namespace
 
 void
 gemmTileExactNeon(const float *w, int64_t ldw, const float *col,
-                  int64_t ldc, const float *bias, float *out, int64_t ldo,
-                  int64_t kb, int64_t jb, int64_t len)
+                  int64_t ldc, float *out, int64_t ldo, int64_t kb,
+                  int64_t jb, int64_t len)
 {
     int64_t j = 0;
     // 4-row x 8-column register tile (8 accumulators of 4 lanes).
     for (; j + 8 <= jb; j += 8) {
         int64_t i = 0;
         for (; i + 4 <= kb; i += 4) {
-            float32x4_t a0l = vdupq_n_f32(bias ? bias[i + 0] : 0.0f);
-            float32x4_t a0h = a0l;
-            float32x4_t a1l = vdupq_n_f32(bias ? bias[i + 1] : 0.0f);
-            float32x4_t a1h = a1l;
-            float32x4_t a2l = vdupq_n_f32(bias ? bias[i + 2] : 0.0f);
-            float32x4_t a2h = a2l;
-            float32x4_t a3l = vdupq_n_f32(bias ? bias[i + 3] : 0.0f);
-            float32x4_t a3h = a3l;
+            float *o = out + i * ldo + j;
+            float32x4_t a0l = vld1q_f32(o);
+            float32x4_t a0h = vld1q_f32(o + 4);
+            float32x4_t a1l = vld1q_f32(o + ldo);
+            float32x4_t a1h = vld1q_f32(o + ldo + 4);
+            float32x4_t a2l = vld1q_f32(o + 2 * ldo);
+            float32x4_t a2h = vld1q_f32(o + 2 * ldo + 4);
+            float32x4_t a3l = vld1q_f32(o + 3 * ldo);
+            float32x4_t a3h = vld1q_f32(o + 3 * ldo + 4);
             const float *w0 = w + (i + 0) * ldw;
             const float *w1 = w + (i + 1) * ldw;
             const float *w2 = w + (i + 2) * ldw;
@@ -65,7 +67,6 @@ gemmTileExactNeon(const float *w, int64_t ldw, const float *col,
                 a3l = vaddq_f32(a3l, vmulq_f32(v3, cl));
                 a3h = vaddq_f32(a3h, vmulq_f32(v3, ch));
             }
-            float *o = out + i * ldo + j;
             vst1q_f32(o, a0l);
             vst1q_f32(o + 4, a0h);
             vst1q_f32(o + ldo, a1l);
@@ -76,8 +77,9 @@ gemmTileExactNeon(const float *w, int64_t ldw, const float *col,
             vst1q_f32(o + 3 * ldo + 4, a3h);
         }
         for (; i < kb; ++i) {
-            float32x4_t al = vdupq_n_f32(bias ? bias[i] : 0.0f);
-            float32x4_t ah = al;
+            float *o = out + i * ldo + j;
+            float32x4_t al = vld1q_f32(o);
+            float32x4_t ah = vld1q_f32(o + 4);
             const float *wr = w + i * ldw;
             for (int64_t l = 0; l < len; ++l) {
                 const float *crow = col + l * ldc + j;
@@ -85,23 +87,24 @@ gemmTileExactNeon(const float *w, int64_t ldw, const float *col,
                 al = vaddq_f32(al, vmulq_f32(v, vld1q_f32(crow)));
                 ah = vaddq_f32(ah, vmulq_f32(v, vld1q_f32(crow + 4)));
             }
-            vst1q_f32(out + i * ldo + j, al);
-            vst1q_f32(out + i * ldo + j + 4, ah);
+            vst1q_f32(o, al);
+            vst1q_f32(o + 4, ah);
         }
     }
     for (; j + 4 <= jb; j += 4) {
         for (int64_t i = 0; i < kb; ++i) {
-            float32x4_t acc = vdupq_n_f32(bias ? bias[i] : 0.0f);
+            float *o = out + i * ldo + j;
+            float32x4_t acc = vld1q_f32(o);
             const float *wr = w + i * ldw;
             for (int64_t l = 0; l < len; ++l)
                 acc = vaddq_f32(acc, vmulq_f32(vdupq_n_f32(wr[l]),
                                                vld1q_f32(col + l * ldc + j)));
-            vst1q_f32(out + i * ldo + j, acc);
+            vst1q_f32(o, acc);
         }
     }
     for (; j < jb; ++j) {
         for (int64_t i = 0; i < kb; ++i) {
-            float acc = bias ? bias[i] : 0.0f;
+            float acc = out[i * ldo + j];
             const float *wr = w + i * ldw;
             for (int64_t l = 0; l < len; ++l)
                 acc += wr[l] * col[l * ldc + j];

@@ -28,7 +28,8 @@ inline std::vector<IsaLevel>
 availableIsas()
 {
     std::vector<IsaLevel> isas;
-    for (IsaLevel isa : {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Neon})
+    for (IsaLevel isa : {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512,
+                         IsaLevel::Neon})
         if (isaAvailable(isa))
             isas.push_back(isa);
     return isas;

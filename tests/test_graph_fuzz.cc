@@ -256,9 +256,10 @@ TEST_P(GraphFuzz, PassPipelineLintCleanAndBitIdentical)
     for (int64_t i = 0; i < a.numel(); ++i) {
         const float va = a.data()[i];
         const float vb = b.data()[i];
-        if (std::memcmp(&va, &vb, sizeof(float)) != 0)
+        if (std::memcmp(&va, &vb, sizeof(float)) != 0) {
             ASSERT_TRUE(va == 0.0f && vb == 0.0f)
                 << "element " << i << ": " << va << " vs " << vb;
+        }
     }
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -21,6 +22,8 @@
 
 #include "graph/executor.hh"
 #include "obs/metrics.hh"
+#include "parity.hh"
+#include "tensor/gemm.hh"
 #include "tensor/kernels/conv_autotune.hh"
 #include "tensor/kernels/kernels.hh"
 #include "tensor/ops.hh"
@@ -67,6 +70,9 @@ TEST(Isa, NamesRoundTrip)
     EXPECT_TRUE(parseIsaName("avx2", &isa));
     EXPECT_EQ(isa, IsaLevel::Avx2);
     EXPECT_STREQ(isaName(IsaLevel::Avx2), "avx2");
+    EXPECT_TRUE(parseIsaName("avx512", &isa));
+    EXPECT_EQ(isa, IsaLevel::Avx512);
+    EXPECT_STREQ(isaName(IsaLevel::Avx512), "avx512");
     EXPECT_TRUE(parseIsaName("neon", &isa));
     EXPECT_EQ(isa, IsaLevel::Neon);
     EXPECT_STREQ(isaName(IsaLevel::Neon), "neon");
@@ -84,7 +90,7 @@ TEST(Isa, NativeAndAutoSelectDetection)
 TEST(Isa, UnknownTokenRejectedAndOutUntouched)
 {
     IsaLevel isa = IsaLevel::Neon;
-    EXPECT_FALSE(parseIsaName("avx512", &isa));
+    EXPECT_FALSE(parseIsaName("avx1024", &isa));
     EXPECT_EQ(isa, IsaLevel::Neon);
 }
 
@@ -93,16 +99,17 @@ TEST(Isa, ScalarAlwaysAvailableAndDetectionConsistent)
     EXPECT_TRUE(isaAvailable(IsaLevel::Scalar));
     EXPECT_TRUE(isaAvailable(detectBestIsa()));
     // Unavailable ISAs must still yield a safe (scalar) kernel set.
-    for (IsaLevel isa :
-         {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Neon}) {
+    for (IsaLevel isa : {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512,
+                         IsaLevel::Neon}) {
         const Microkernels &mk = kernelsFor(isa);
         ASSERT_NE(mk.gemmTileExact, nullptr);
         ASSERT_NE(mk.axpyF32, nullptr);
         ASSERT_NE(mk.dotS8, nullptr);
         ASSERT_NE(mk.quantizeF32S8, nullptr);
         ASSERT_NE(mk.dequantizeS8F32, nullptr);
-        if (!isaAvailable(isa))
+        if (!isaAvailable(isa)) {
             EXPECT_EQ(mk.isa, IsaLevel::Scalar);
+        }
     }
     EXPECT_EQ(activeKernels().isa, activeIsa());
 }
@@ -119,48 +126,51 @@ mixedValue(int64_t i)
 TEST(GemmTile, ExactBitIdenticalToScalarAcrossBlockings)
 {
     const Microkernels &scalar = kernelsFor(IsaLevel::Scalar);
-    const Microkernels &simd = kernelsFor(detectBestIsa());
 
-    // Remainder coverage: jb spans sub-lane, one-lane, lane+tail and
-    // the max block; kb spans the 4-row inner blocking and its tails.
-    const int64_t kbs[] = {1, 2, 3, 4, 5, 9};
-    const int64_t jbs[] = {1, 5, 8, 15, 16, 17, 31, 33, 512};
-    const int64_t lens[] = {1, 7, 32, 100};
+    // Remainder coverage: jb spans sub-lane, one-lane, lane+tail, the
+    // 16/32-column AVX-512 tile and its masked tails, and the max
+    // block; kb spans the 4- and 6-row inner blockings and their
+    // tails; len spans short runs and the driver's chunk boundary
+    // (the tile itself must be exact at any length).
+    const int64_t kbs[] = {1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13};
+    const int64_t jbs[] = {1,  5,  8,  15, 16, 17, 31, 32,
+                           33, 47, 48, 63, 64, 512};
+    const int64_t lens[] = {1,  7,  32, 100, kGemmChunkLen - 1,
+                            kGemmChunkLen, kGemmChunkLen + 1,
+                            2 * kGemmChunkLen + 3};
 
-    for (int64_t kb : kbs)
-        for (int64_t jb : jbs)
-            for (int64_t len : lens) {
-                std::vector<float> w(kb * len), col(len * jb);
-                std::vector<float> bias(kb);
-                for (size_t i = 0; i < w.size(); ++i)
-                    w[i] = mixedValue(i);
-                for (size_t i = 0; i < col.size(); ++i)
-                    col[i] = mixedValue(i + 31);
-                for (size_t i = 0; i < bias.size(); ++i)
-                    bias[i] = mixedValue(i + 77);
+    for (IsaLevel isa : availableIsas()) {
+        const Microkernels &simd = kernelsFor(isa);
+        for (int64_t kb : kbs)
+            for (int64_t jb : jbs)
+                for (int64_t len : lens) {
+                    std::vector<float> w(kb * len), col(len * jb);
+                    for (size_t i = 0; i < w.size(); ++i)
+                        w[i] = mixedValue(i);
+                    for (size_t i = 0; i < col.size(); ++i)
+                        col[i] = mixedValue(i + 31);
 
-                std::vector<float> ref(kb * jb, -9.0f);
-                std::vector<float> out(kb * jb, 9.0f);
-                scalar.gemmTileExact(w.data(), len, col.data(), jb,
-                                     bias.data(), ref.data(), jb, kb,
-                                     jb, len);
-                simd.gemmTileExact(w.data(), len, col.data(), jb,
-                                   bias.data(), out.data(), jb, kb, jb,
-                                   len);
-                EXPECT_TRUE(bitEqual(ref, out))
-                    << "kb=" << kb << " jb=" << jb << " len=" << len;
-
-                // Null bias must read as zero on both.
-                scalar.gemmTileExact(w.data(), len, col.data(), jb,
-                                     nullptr, ref.data(), jb, kb, jb,
-                                     len);
-                simd.gemmTileExact(w.data(), len, col.data(), jb,
-                                   nullptr, out.data(), jb, kb, jb,
-                                   len);
-                EXPECT_TRUE(bitEqual(ref, out))
-                    << "nobias kb=" << kb << " jb=" << jb
-                    << " len=" << len;
-            }
+                    // The tile accumulates onto out: start from a
+                    // per-row value (a bias) and from +0.0f.
+                    std::vector<float> start(kb * jb);
+                    for (int64_t i = 0; i < kb; ++i)
+                        std::fill_n(start.begin() + i * jb, jb,
+                                    mixedValue(i + 77));
+                    for (bool zero : {false, true}) {
+                        std::vector<float> ref =
+                            zero ? std::vector<float>(kb * jb, 0.0f) : start;
+                        std::vector<float> out = ref;
+                        scalar.gemmTileExact(w.data(), len, col.data(), jb,
+                                             ref.data(), jb, kb, jb, len);
+                        simd.gemmTileExact(w.data(), len, col.data(), jb,
+                                           out.data(), jb, kb, jb, len);
+                        EXPECT_TRUE(bitEqual(ref, out))
+                            << "isa=" << isaName(isa) << " kb=" << kb
+                            << " jb=" << jb << " len=" << len
+                            << " zero start=" << zero;
+                    }
+                }
+    }
 }
 
 TEST(GemmTile, ExactHonorsLeadingDimensions)
@@ -168,26 +178,36 @@ TEST(GemmTile, ExactHonorsLeadingDimensions)
     // Strided output/column/weight views (ld > logical width) must
     // leave the gaps untouched and match the scalar reference.
     const Microkernels &scalar = kernelsFor(IsaLevel::Scalar);
-    const Microkernels &simd = kernelsFor(detectBestIsa());
-    const int64_t kb = 3, jb = 19, len = 11;
-    const int64_t ldw = len + 3, ldc = jb + 5, ldo = jb + 2;
-    std::vector<float> w(kb * ldw), col(len * ldc), bias(kb);
-    for (size_t i = 0; i < w.size(); ++i)
-        w[i] = mixedValue(i + 5);
-    for (size_t i = 0; i < col.size(); ++i)
-        col[i] = mixedValue(i + 13);
-    for (size_t i = 0; i < bias.size(); ++i)
-        bias[i] = mixedValue(i + 99);
-    std::vector<float> ref(kb * ldo, 42.0f), out(kb * ldo, 42.0f);
-    scalar.gemmTileExact(w.data(), ldw, col.data(), ldc, bias.data(),
-                         ref.data(), ldo, kb, jb, len);
-    simd.gemmTileExact(w.data(), ldw, col.data(), ldc, bias.data(),
-                       out.data(), ldo, kb, jb, len);
-    EXPECT_TRUE(bitEqual(ref, out));
-    // Gap columns beyond jb kept their sentinel.
-    for (int64_t i = 0; i < kb; ++i)
-        for (int64_t j = jb; j < ldo; ++j)
-            EXPECT_EQ(out[i * ldo + j], 42.0f);
+    for (IsaLevel isa : availableIsas()) {
+        const Microkernels &simd = kernelsFor(isa);
+        for (int64_t jb : {19, 47}) {
+            const int64_t kb = 7, len = 11;
+            const int64_t ldw = len + 3, ldc = jb + 5, ldo = jb + 2;
+            std::vector<float> w(kb * ldw), col(len * ldc);
+            for (size_t i = 0; i < w.size(); ++i)
+                w[i] = mixedValue(i + 5);
+            for (size_t i = 0; i < col.size(); ++i)
+                col[i] = mixedValue(i + 13);
+            std::vector<float> ref(kb * ldo);
+            for (size_t i = 0; i < ref.size(); ++i)
+                ref[i] = mixedValue(i + 99);
+            for (int64_t i = 0; i < kb; ++i)
+                for (int64_t j = jb; j < ldo; ++j)
+                    ref[i * ldo + j] = 42.0f;
+            std::vector<float> out = ref;
+            scalar.gemmTileExact(w.data(), ldw, col.data(), ldc, ref.data(),
+                                 ldo, kb, jb, len);
+            simd.gemmTileExact(w.data(), ldw, col.data(), ldc, out.data(),
+                               ldo, kb, jb, len);
+            EXPECT_TRUE(bitEqual(ref, out))
+                << "isa=" << isaName(isa) << " jb=" << jb;
+            // Gap columns beyond jb kept their sentinel.
+            for (int64_t i = 0; i < kb; ++i)
+                for (int64_t j = jb; j < ldo; ++j)
+                    EXPECT_EQ(out[i * ldo + j], 42.0f)
+                        << "isa=" << isaName(isa) << " jb=" << jb;
+        }
+    }
 }
 
 TEST(Axpy, BitIdenticalToScalarIncludingSpecials)
@@ -324,7 +344,7 @@ TEST_P(OpParityTest, ConvPlansBitIdenticalAcrossIsaAndBlocking)
     p.padH = p.padW = 1;
 
     Tensor direct = conv2d(x, w, b, p, Conv2dAlgo::Direct);
-    for (IsaLevel isa : {IsaLevel::Scalar, detectBestIsa()}) {
+    for (IsaLevel isa : availableIsas()) {
         for (int64_t block : {1, 33, 64, 128, 512}) {
             Conv2dPlan plan;
             plan.algo = Conv2dAlgo::Im2col;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "parity.hh"
+#include "tensor/gemm.hh"
 #include "tensor/ops.hh"
 #include "util/random.hh"
 
@@ -256,14 +257,18 @@ TEST_P(GemmParityTest, LinearMatchesScalarLoop)
         bool bias;
     };
     // Rows 1-3 and out_f < 8 (the old scalar fork), in_f off every
-    // vector width, batched (N, L, C) rows, an empty bias, and a
-    // shape wide enough for full 4x16 tiles and several column blocks.
+    // vector width, batched (N, L, C) rows, an empty bias, a shape
+    // wide enough for full tiles and several column blocks, and in_f
+    // past the GEMM driver's accumulation chunk.
     const Case cases[] = {
         {{1, 13}, 5, true},       {{2, 13}, 7, true},
         {{3, 37}, 3, false},      {{1, 1, 64}, 8, true},
         {{4, 9}, 17, true},       {{2, 7, 13}, 19, false},
         {{3, 5, 24}, 17, true},   {{300, 33}, 21, true},
-        {{9, 67}, 130, true},
+        {{9, 67}, 130, true},     {{2, kGemmChunkLen - 1}, 9, true},
+        {{5, kGemmChunkLen}, 11, false},
+        {{3, kGemmChunkLen + 1}, 7, false},
+        {{40, 2 * kGemmChunkLen + 3}, 13, true},
     };
     Rng rng(71);
     for (const Case &tc : cases) {

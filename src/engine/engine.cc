@@ -1,9 +1,7 @@
 #include "engine/engine.hh"
 
-#include <cmath>
+#include <algorithm>
 
-#include "analysis/lint.hh"
-#include "analysis/liveness.hh"
 #include "obs/metrics.hh"
 #include "obs/request_context.hh"
 #include "obs/span.hh"
@@ -12,66 +10,15 @@
 namespace vitdyn
 {
 
-namespace
-{
-
-/**
- * The load-time lint gate for one LUT row: rebuild the config's graph
- * (recoverably), lint it, compute its certified peak-activation
- * bound into @p certified_peak_bytes (when non-null), and — when the
- * caller supplied the cost oracle or a memory budget — cross-check
- * the stored resource cost for staleness and the certified bound
- * against the budget. An error here vetoes the config.
- */
-Status
-lintLutEntry(ModelFamily family, const SegformerConfig &seg_base,
-             const SwinConfig &swin_base, const LutEntry &entry,
-             const DrtLintOptions &options,
-             size_t *certified_peak_bytes = nullptr)
-{
-    Result<Graph> built =
-        tryApplyPrune(family, seg_base, swin_base, entry.config);
-    if (!built)
-        return built.status();
-
-    const size_t peak = analysis::certifiedPeakBytes(built.value());
-    if (certified_peak_bytes)
-        *certified_peak_bytes = peak;
-
-    Status lint = lintGraph(built.value()).toStatus();
-    if (!lint)
-        return lint.withContext("config '" + entry.config.label + "'");
-
-    if (options.memoryBudgetBytes > 0 && peak > options.memoryBudgetBytes)
-        return Status::error(detail::formatParts(
-            "config '", entry.config.label, "': certified peak ", peak,
-            " bytes exceeds the memory budget of ",
-            options.memoryBudgetBytes, " bytes"));
-
-    if (options.cost) {
-        const double recomputed = options.cost(built.value());
-        const double denom =
-            entry.resourceCost > 0.0 ? entry.resourceCost : 1.0;
-        const double rel =
-            std::abs(recomputed - entry.resourceCost) / denom;
-        if (!std::isfinite(recomputed) ||
-            rel > options.costRelTolerance)
-            return Status::error(detail::formatParts(
-                "config '", entry.config.label, "': stale LUT cost ",
-                entry.resourceCost, " vs recomputed ", recomputed));
-    }
-    return Status::ok();
-}
-
-} // namespace
-
 struct DrtEngine::LintGate
 {
-    /** One verdict per LUT entry; an error vetoes that config. */
-    std::vector<Status> verdicts;
-    /** Certified peak-activation bounds; 0 = unknown (gate off). */
-    std::vector<size_t> certifiedPeakBytes;
-    /** The first veto, with context, when every config failed. */
+    /** The unpruned reference graph (the drift check's FLOP baseline
+     *  and the engine's shared weight dims). */
+    Graph full;
+    /** One row check per LUT entry; an Error vetoes that config. */
+    std::vector<LutRowCheck> rows;
+    /** Why the engine cannot serve: an empty LUT, or the first veto
+     *  when every config failed. */
     Status status;
 };
 
@@ -79,22 +26,26 @@ DrtEngine::LintGate
 DrtEngine::lintGate(ModelFamily family, const SegformerConfig &seg_base,
                     const SwinConfig &swin_base,
                     const AccuracyResourceLut &lut,
-                    const DrtLintOptions &options)
+                    const LutCheckOptions &options)
 {
-    const size_t n = lut.entries().size();
-    LintGate gate{std::vector<Status>(n), std::vector<size_t>(n, 0),
-                  Status::ok()};
-    if (!options.enabled)
+    LintGate gate{family == ModelFamily::Segformer ? buildSegformer(seg_base)
+                                                   : buildSwin(swin_base),
+                  {}, Status::ok()};
+    if (lut.empty()) {
+        gate.status = Status::error(
+            "DrtEngine needs a non-empty LUT; this one has no entries");
         return gate;
-    bool any_alive = false;
+    }
+    const double full_flops = static_cast<double>(gate.full.totalFlops());
     Status first_veto;
-    for (size_t i = 0; i < n; ++i) {
-        gate.verdicts[i] =
-            lintLutEntry(family, seg_base, swin_base, lut.entries()[i],
-                         options, &gate.certifiedPeakBytes[i]);
-        any_alive |= gate.verdicts[i].isOk();
-        if (!gate.verdicts[i] && first_veto.isOk())
-            first_veto = gate.verdicts[i];
+    bool any_alive = false;
+    for (size_t i = 0; i < lut.entries().size(); ++i) {
+        gate.rows.push_back(checkLutRow(lut, i, family, seg_base,
+                                        swin_base, full_flops, options));
+        const Status verdict = gate.rows.back().report.toStatus();
+        any_alive |= verdict.isOk();
+        if (!verdict && first_veto.isOk())
+            first_veto = verdict;
     }
     if (!any_alive)
         gate.status = first_veto.withContext(
@@ -106,53 +57,40 @@ DrtEngine::DrtEngine(ModelFamily family, const SegformerConfig &seg_base,
                      const SwinConfig &swin_base, AccuracyResourceLut lut,
                      uint64_t seed, DrtEngineOptions options)
     : DrtEngine(lintGate(family, seg_base, swin_base, lut, options.lint),
-                family, seg_base, swin_base, std::move(lut), seed, options)
+                std::move(lut), seed, options)
 {
 }
 
-DrtEngine::DrtEngine(LintGate gate, ModelFamily family,
-                     const SegformerConfig &seg_base,
-                     const SwinConfig &swin_base, AccuracyResourceLut &&lut,
+DrtEngine::DrtEngine(LintGate gate, AccuracyResourceLut &&lut,
                      uint64_t seed, const DrtEngineOptions &options)
-    : lut_(std::move(lut)), family_(family), segBase_(seg_base),
-      swinBase_(swin_base),
-      // The unpruned reference defines the shared weight dimensions.
-      fullGraph_(family == ModelFamily::Segformer
-                     ? buildSegformer(seg_base)
-                     : buildSwin(swin_base)),
+    : lut_(std::move(lut)), fullGraph_(std::move(gate.full)),
       paths_(options, seed,
              [this](size_t index) {
-                 const PruneConfig &config = lut_.entries()[index].config;
-                 return PathSource{
-                     config.label,
-                     family_ == ModelFamily::Segformer
-                         ? applySegformerPrune(segBase_, config)
-                         : applySwinPrune(swinBase_, config),
-                     &fullGraph_};
+                 return PathSource{lut_.entries()[index].config.label,
+                                   rowGraphs_[index], &fullGraph_};
              },
              [this](Executor &executor) { configureExecutor(executor); }),
-      quarantinedUntil_(lut_.entries().size(), 0),
-      configVetoed_(lut_.entries().size(), false),
-      certifiedPeakBytes_(std::move(gate.certifiedPeakBytes))
+      quarantinedUntil_(lut_.entries().size(), 0)
 {
-    vitdyn_assert(!lut_.empty(), "DrtEngine needs a non-empty LUT");
+    vitdyn_assert(gate.status.isOk(), gate.status.message());
 
-    if (options.lint.enabled) {
-        static Counter &checked = MetricsRegistry::instance().counter(
-            "lint.configs_checked");
-        static Counter &vetoes = MetricsRegistry::instance().counter(
-            "lint.configs_vetoed");
-        for (size_t i = 0; i < lut_.entries().size(); ++i) {
-            checked.add();
-            const Status &verdict = gate.verdicts[i];
-            if (verdict)
-                continue;
-            vetoes.add();
-            configVetoed_[i] = true;
-            warn("DRT config '", lut_.entries()[i].config.label,
-                 "' failed lint and is disabled: ", verdict.message());
-        }
-        vitdyn_assert(gate.status.isOk(), gate.status.message());
+    static Counter &checked =
+        MetricsRegistry::instance().counter("lint.configs_checked");
+    static Counter &vetoes =
+        MetricsRegistry::instance().counter("lint.configs_vetoed");
+    for (size_t i = 0; i < gate.rows.size(); ++i) {
+        LutRowCheck &row = gate.rows[i];
+        checked.add();
+        const bool vetoed = row.report.hasErrors();
+        configVetoed_.push_back(vetoed);
+        certifiedPeakBytes_.push_back(row.certifiedPeakBytes);
+        rowGraphs_.push_back(vetoed ? nullptr : std::move(row.graph));
+        if (!vetoed)
+            continue;
+        vetoes.add();
+        warn("DRT config '", lut_.entries()[i].config.label,
+             "' failed lint and is disabled: ",
+             row.report.toStatus().message());
     }
 
     if (options.prewarm) {
@@ -180,29 +118,13 @@ DrtEngine::create(ModelFamily family, const SegformerConfig &seg_base,
                   const SwinConfig &swin_base, AccuracyResourceLut lut,
                   uint64_t seed, DrtEngineOptions options)
 {
-    if (lut.empty())
-        return Status::error("DrtEngine: LUT has no entries");
-    for (const LutEntry &entry : lut.entries()) {
-        if (entry.config.label.empty())
-            return Status::error("DrtEngine: LUT entry with empty label");
-        for (int64_t depth : entry.config.depths)
-            if (depth < 0)
-                return Status::error("DrtEngine: LUT entry '" +
-                                     entry.config.label +
-                                     "' has a negative stage depth");
-        if (!(entry.resourceCost >= 0.0))
-            return Status::error("DrtEngine: LUT entry '" +
-                                 entry.config.label +
-                                 "' has an invalid resource cost");
-    }
-    // The constructor aborts when the lint gate vetoes everything;
+    // The constructor aborts when the lint gate fails the whole LUT;
     // run the gate here so that case is a recoverable error instead.
     LintGate gate = lintGate(family, seg_base, swin_base, lut, options.lint);
     if (!gate.status)
         return gate.status;
     return std::unique_ptr<DrtEngine>(
-        new DrtEngine(std::move(gate), family, seg_base, swin_base,
-                      std::move(lut), seed, options));
+        new DrtEngine(std::move(gate), std::move(lut), seed, options));
 }
 
 void
@@ -345,10 +267,7 @@ DrtEngine::lookupHealthyIndex(double resource_budget, bool *met) const
     for (size_t i = 0; i < entries.size(); ++i)
         if (!configVetoed_[i])
             return i;
-    // Unreachable when the lint gate ran (construction requires a
-    // survivor); with lint disabled nothing is ever vetoed.
-    bool ignored = false;
-    return lookupIndex(resource_budget, &ignored);
+    vitdyn_fatal("construction left no lint-surviving config");
 }
 
 const LutEntry &
@@ -593,7 +512,7 @@ DrtEngine::pathGraph(size_t index) const
 {
     vitdyn_assert(index < lut_.entries().size(),
                   "path index out of range");
-    return acquirePath(index)->graph;
+    return *acquirePath(index)->graph;
 }
 
 Executor &

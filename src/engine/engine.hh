@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/lut_check.hh"
 #include "engine/lut.hh"
 #include "engine/path_cache.hh"
 #include "fault/fault.hh"
@@ -83,42 +84,8 @@ struct EngineResilienceConfig
 };
 
 /**
- * Static-analysis gate applied to every LUT config when the engine
- * loads it (see src/analysis/). A config whose rebuilt graph fails
- * lint — or whose stored cost is stale against the optional cost
- * oracle — is permanently vetoed: never selected, never prewarmed,
- * reported on the lint.* metrics. The engine keeps serving on the
- * remaining configs (construction fails only when nothing survives).
- */
-struct DrtLintOptions
-{
-    bool enabled = true;
-
-    /**
-     * The cost function the LUT was generated with. When set, a row
-     * whose stored resourceCost drifts beyond costRelTolerance from
-     * the rebuilt graph's recomputed cost is vetoed as stale. Empty
-     * by default: native cost units are opaque to the engine.
-     */
-    GraphCostFn cost;
-    double costRelTolerance = 0.05;
-
-    /**
-     * Memory gate: when > 0, every config's rebuilt graph gets a
-     * certified static peak-activation bound (analysis/liveness.hh)
-     * and a config whose bound exceeds the budget is vetoed at load —
-     * it can never be selected, so the engine's peak activation
-     * memory is provably below the budget. 0 disables the gate; the
-     * per-config bounds are still computed and exposed through
-     * certifiedPeakBytes() for memory-aware admission.
-     */
-    size_t memoryBudgetBytes = 0;
-};
-
-/**
  * DrtEngine options: the shared path-cache policy (capacity, weight
- * store, pass pipeline, conv autotune) plus prewarm and the load-time
- * lint gate.
+ * store, conv autotune) plus prewarm and the load-time lint gate.
  */
 struct DrtEngineOptions : PathCacheOptions
 {
@@ -130,8 +97,18 @@ struct DrtEngineOptions : PathCacheOptions
      */
     bool prewarm = true;
 
-    /** Config lint gate (see DrtLintOptions). */
-    DrtLintOptions lint;
+    /**
+     * The load-time lint gate's cost oracle and memory budget. The
+     * gate runs checkLutRow (analysis/lut_check.hh) once per LUT row;
+     * a row with any Error finding — a bad field, an infeasible
+     * config, a lint error, a stale cost against the oracle, a
+     * certified peak over the budget — is permanently vetoed: never
+     * selected, never prewarmed, counted on the lint.* metrics. The
+     * engine keeps serving on the remaining rows (construction fails
+     * only when nothing survives) and serves each of them from the
+     * graph the check built.
+     */
+    LutCheckOptions lint;
 };
 
 /** DRT inference engine over one pretrained model and one LUT. */
@@ -165,7 +142,8 @@ class DrtEngine
     /**
      * Validating factory for long-running deployments: returns a
      * recoverable error (instead of aborting) when the LUT is empty
-     * or malformed.
+     * or every row fails the lint gate. Like the constructor, it
+     * vetoes a malformed row and serves the rest.
      */
     static Result<std::unique_ptr<DrtEngine>>
     create(ModelFamily family, const SegformerConfig &seg_base,
@@ -276,9 +254,8 @@ class DrtEngine
     /**
      * Certified static peak-activation bound of the path's pruned
      * graph (analysis::certifiedPeakBytes), computed by the load-time
-     * lint gate. The standard rewrite pipeline only removes buffers,
-     * so this also bounds the served (possibly fused) path. 0 when
-     * unknown (lint gate disabled).
+     * lint gate over the graph the path serves. 0 when the config is
+     * infeasible (no graph; the row is vetoed).
      */
     size_t certifiedPeakBytes(size_t path_index) const;
 
@@ -307,21 +284,20 @@ class DrtEngine
     struct LintGate;
 
     /**
-     * Run the lint gate (when @p options is enabled) over every entry
-     * of @p lut: one verdict and one certified peak bound per config,
-     * and an error when no config survives.
+     * Run checkLutRow over every entry of @p lut: one verdict, graph
+     * and certified peak bound per config, and an error when the LUT
+     * is empty or no config survives.
      */
     static LintGate lintGate(ModelFamily family,
                              const SegformerConfig &seg_base,
                              const SwinConfig &swin_base,
                              const AccuracyResourceLut &lut,
-                             const DrtLintOptions &options);
+                             const LutCheckOptions &options);
 
     /** Both public entry points construct through this, with the gate
-     *  already run; it aborts when every config was vetoed. */
-    DrtEngine(LintGate gate, ModelFamily family,
-              const SegformerConfig &seg_base, const SwinConfig &swin_base,
-              AccuracyResourceLut &&lut, uint64_t seed,
+     *  already run; it aborts when the LUT is empty or every config
+     *  was vetoed. */
+    DrtEngine(LintGate gate, AccuracyResourceLut &&lut, uint64_t seed,
               const DrtEngineOptions &options);
 
     /** The materialized path for LUT entry @p index (see PathCache). */
@@ -367,10 +343,11 @@ class DrtEngine
     void configureExecutor(Executor &executor) const;
 
     AccuracyResourceLut lut_;
-    ModelFamily family_;
-    SegformerConfig segBase_;
-    SwinConfig swinBase_;
     Graph fullGraph_; ///< Unpruned reference for shared weight dims.
+    /** The graph the lint gate built for each row, parallel to
+     *  lut_.entries(); every materialization of a path shares it.
+     *  Null for vetoed rows. */
+    std::vector<std::shared_ptr<const Graph>> rowGraphs_;
     /** Materialized paths keyed by LUT index. */
     mutable PathCache paths_;
     /** Quarantine deadlines, parallel to lut_.entries() — kept apart
@@ -380,7 +357,7 @@ class DrtEngine
      *  construction, never selected or prewarmed afterwards. */
     std::vector<bool> configVetoed_;
     /** Certified peak-activation bounds, parallel to lut_.entries();
-     *  0 = unknown (lint gate disabled). */
+     *  0 for an infeasible (vetoed) config. */
     std::vector<size_t> certifiedPeakBytes_;
     EngineResilienceConfig resilience_;
     FaultInjector *injector_ = nullptr;

@@ -21,7 +21,8 @@ ModelSwitchingEngine::ModelSwitchingEngine(
           return PathSource{
               trained ? kTrainedPrefix + variants_[key].name
                       : candidates_[key - variants_.size()].label,
-              buildKey(key), trained ? nullptr : &referenceFull_};
+              std::make_shared<const Graph>(buildKey(key)),
+              trained ? nullptr : &referenceFull_};
       })
 {
     vitdyn_assert(!variants_.empty(),

@@ -66,30 +66,11 @@ PathCache::acquire(size_t key)
 
     PathSource source = build_(key);
     span.arg("path", source.label);
-    // The executor holds a reference to the graph, so both live in one
-    // heap block and the cache only ever moves the shared_ptr.
+    // The executor holds a reference to the graph, so the path owns a
+    // share of it and the cache only ever moves the shared_ptr.
     auto path = std::make_shared<MaterializedPath>();
     path->graph = std::move(source.graph);
-    if (options_.passPipeline) {
-        // Rewrite before the executor binds to the graph: fusion and
-        // folding change the layer list, and the executor's per-layer
-        // plans (conv workspaces, liveness) must see the final form.
-        PassManager pipeline =
-            PassManager::standardPipeline(options_.passOptions);
-        Result<PipelineReport> rewritten = pipeline.run(path->graph);
-        if (rewritten) {
-            span.arg("pass_rewrites", static_cast<int64_t>(
-                                          rewritten.value().totalRewrites()));
-        } else {
-            // Transactional pipeline: the graph holds the last
-            // lint-clean state, so the path stays servable.
-            warn("path '", source.label,
-                 "' pass pipeline failed (serving partially "
-                 "rewritten): ",
-                 rewritten.status().message());
-        }
-    }
-    path->executor = std::make_unique<Executor>(path->graph, seed_,
+    path->executor = std::make_unique<Executor>(*path->graph, seed_,
                                                 options_.weightStore);
     if (source.fullDims)
         registerFullDims(*source.fullDims, *path->executor);

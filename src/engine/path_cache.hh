@@ -8,8 +8,9 @@
  * pre-built paths over one weight set); ModelSwitchingEngine keys it
  * by its choice index (Section III's switch over trained variants
  * and pruned paths). A miss asks the caller's builder for the path
- * graph, optionally runs the standard rewrite pipeline over it,
- * builds the executor on the shared WeightStore, registers the
+ * graph (DrtEngine hands over the graph its load-time row check
+ * built, so a row's graph is built once per engine), builds the
+ * executor over it on the shared WeightStore, registers the
  * reference graph's full dims so pruned paths slice the same
  * weights, installs conv autotuning, applies the caller's configure
  * hook and warms every weight. Entries are shared-owned, so an
@@ -30,7 +31,6 @@
 #include <string>
 
 #include "graph/executor.hh"
-#include "graph/passes/pass.hh"
 
 namespace vitdyn
 {
@@ -53,21 +53,6 @@ struct PathCacheOptions
     WeightStore *weightStore = nullptr;
 
     /**
-     * Run the standard rewrite pipeline (graph/passes/) over every
-     * path graph as it materializes: conv+BN+activation fusion,
-     * no-op folding, dead-layer elimination and in-place reuse
-     * annotation. Execution stays bit-identical to the unrewritten
-     * graph; only intermediate materializations go away. A pipeline
-     * failure on one path is logged and that path runs with however
-     * far the transactional pipeline got (always lint-clean) — it is
-     * never a serving outage.
-     */
-    bool passPipeline = false;
-
-    /** Lint/preserve configuration for the pass pipeline's gates. */
-    PassOptions passOptions;
-
-    /**
      * Measured conv execution-plan autotuning, applied to every
      * path's executor at materialization (see
      * tensor/kernels/conv_autotune.hh). Enabled by default: every
@@ -80,11 +65,11 @@ struct PathCacheOptions
     ConvAutotuneOptions convAutotune = {/*enabled=*/true};
 };
 
-/** A materialized execution path: the (possibly rewritten) graph and
- *  a weight-warmed executor that references it. */
+/** A materialized execution path: the path graph and a weight-warmed
+ *  executor that references it. */
 struct MaterializedPath
 {
-    Graph graph;
+    std::shared_ptr<const Graph> graph;
     std::unique_ptr<Executor> executor;
 };
 
@@ -92,7 +77,9 @@ struct MaterializedPath
 struct PathSource
 {
     std::string label; ///< Names the path in spans and logs.
-    Graph graph;       ///< The unrewritten path graph.
+    /** The path graph, shared with the caller: the path keeps it
+     *  alive, so a graph the caller retains is never copied. */
+    std::shared_ptr<const Graph> graph;
     /** Reference whose layer dims the path slices its weights from
      *  (registerFullDims); nullptr = the graph's own dims. Must
      *  outlive the cache. */
@@ -107,7 +94,7 @@ class PathCache
     using Configure = std::function<void(Executor &)>;
 
     /**
-     * @param options    capacity, store, pipeline and autotune policy.
+     * @param options    capacity, store and autotune policy.
      * @param seed       weight-synthesis seed of every executor.
      * @param build      graph builder, called once per miss.
      * @param configure  per-executor hook, applied before weight

@@ -31,7 +31,7 @@ AdmissionController::memoryFits(size_t index, size_t available) const
     if (index >= configPeakBytes_.size())
         return true; // no bounds supplied: memory policy disabled
     const size_t peak = configPeakBytes_[index];
-    return peak == 0 || peak <= available; // 0 = unknown, always fits
+    return peak == 0 || peak <= available; // 0 = no bound, always fits
 }
 
 size_t

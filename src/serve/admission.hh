@@ -122,8 +122,8 @@ class AdmissionController
      * @p lut must outlive the controller (the engine's LUT does).
      * @p config_peak_bytes — certified peak-activation bounds
      * parallel to lut.entries() (DrtEngine::certifiedPeakBytes());
-     * empty disables the memory policy, a 0 entry means "unknown,
-     * always fits" (lint gate disabled for that config).
+     * empty disables the memory policy, a 0 entry means "no bound,
+     * always fits" (an infeasible config the engine vetoes).
      */
     explicit AdmissionController(
         const AccuracyResourceLut &lut, AdmissionOptions options = {},

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <memory>
 
 #include "analysis/lint.hh"
 #include "analysis/liveness.hh"
@@ -515,6 +517,71 @@ TEST(EngineLintGate, AllRowsVetoedFailsCreateRecoverably)
               std::string::npos);
 }
 
+TEST(EngineLintGate, MalformedRowsVetoedByBothEntryPoints)
+{
+    const SegformerConfig base = tinyBase();
+    struct Row
+    {
+        const char *label;
+        std::array<int64_t, 4> depths;
+        double cost;
+        double util;
+        double miou;
+    };
+    // Three bad rows between two good ones: a negative cost, an empty
+    // label and a negative stage depth.
+    const Row rows[] = {
+        {"neg_cost", {1, 1, 1, 1}, -1.0, 0.2, 0.5},
+        {"small", {1, 1, 1, 1}, 40.0, 0.4, 0.6},
+        {"", {2, 1, 1, 1}, 60.0, 0.6, 0.7},
+        {"neg_depth", {2, -1, 2, 2}, 80.0, 0.8, 0.8},
+        {"full", {2, 2, 2, 2}, 100.0, 1.0, 1.0},
+    };
+    std::vector<TradeoffPoint> points;
+    for (const Row &row : rows) {
+        TradeoffPoint p;
+        p.config.label = row.label;
+        p.config.depths = row.depths;
+        p.absoluteUtil = row.cost;
+        p.normalizedUtil = row.util;
+        p.normalizedMiou = row.miou;
+        points.push_back(p);
+    }
+
+    DrtEngineOptions options;
+    options.prewarm = false;
+    for (bool factory : {false, true}) {
+        AccuracyResourceLut lut(points, "ms");
+        std::unique_ptr<DrtEngine> engine;
+        if (factory) {
+            Result<std::unique_ptr<DrtEngine>> created =
+                DrtEngine::create(ModelFamily::Segformer, base,
+                                  SwinConfig{}, std::move(lut), 17,
+                                  options);
+            ASSERT_TRUE(bool(created)) << created.status().message();
+            engine = created.take();
+        } else {
+            engine = std::make_unique<DrtEngine>(
+                ModelFamily::Segformer, base, SwinConfig{},
+                std::move(lut), 17, options);
+        }
+        ASSERT_EQ(engine->numPaths(), 5u);
+        for (size_t i = 0; i < engine->numPaths(); ++i) {
+            const std::string &label =
+                engine->lut().entries()[i].config.label;
+            EXPECT_EQ(engine->isVetoed(i),
+                      label != "small" && label != "full")
+                << "row " << i << " '" << label << "' factory "
+                << factory;
+        }
+
+        Rng rng(5);
+        Tensor image = Tensor::randn({1, 3, 64, 64}, rng);
+        EXPECT_EQ(engine->infer(image, 1.0e18).configLabel, "full");
+        EXPECT_EQ(engine->infer(image, 50.0).configLabel, "small");
+    }
+}
+
 TEST(EngineLintGate, ModelSwitchingDropsInfeasibleCandidate)
 {
     Counter &dropped = MetricsRegistry::instance().counter(
@@ -847,45 +914,85 @@ TEST(LutCheck, MemoryBudgetRowFlagged)
     EXPECT_TRUE(flagged(bad, "lut.memory-budget")) << bad.toText();
 }
 
+/** honestPoints plus a stale-cost row (the "small" config storing
+ *  half its cost) and an infeasible row. */
+std::vector<TradeoffPoint>
+mixedPoints(const SegformerConfig &base)
+{
+    std::vector<TradeoffPoint> points = honestPoints(base);
+    TradeoffPoint stale = points[1];
+    stale.config.label = "small_stale";
+    stale.absoluteUtil *= 0.5;
+    stale.normalizedUtil *= 0.5;
+    stale.normalizedMiou -= 0.1;
+    TradeoffPoint infeasible = points[0];
+    infeasible.config.label = "infeasible";
+    infeasible.config.depths = {9, 9, 9, 9};
+    infeasible.absoluteUtil =
+        (points[0].absoluteUtil + points[1].absoluteUtil) / 2;
+    infeasible.normalizedUtil =
+        (points[0].normalizedUtil + points[1].normalizedUtil) / 2;
+    infeasible.normalizedMiou =
+        (points[0].normalizedMiou + points[1].normalizedMiou) / 2;
+    points.push_back(stale);
+    points.push_back(infeasible);
+    return points;
+}
+
 TEST(EngineLintGate, OverBudgetConfigVetoedAtLoad)
 {
     const SegformerConfig base = tinyBase();
-    auto points = honestPoints(base);
+    const std::vector<TradeoffPoint> honest = honestPoints(base);
     const size_t peak_small = analysis::certifiedPeakBytes(
-        applySegformerPrune(base, points[1].config));
+        applySegformerPrune(base, honest[1].config));
     const size_t peak_full = analysis::certifiedPeakBytes(
-        applySegformerPrune(base, points[0].config));
+        applySegformerPrune(base, honest[0].config));
     ASSERT_LT(peak_small, peak_full);
 
     // Budget between the two peaks: "full" must be vetoed at load,
     // "small" keeps serving, and the stored per-path bounds match the
-    // analyzer's.
+    // analyzer's. The mixed LUT adds a stale-cost and an infeasible
+    // row; on both LUTs the engine vetoes exactly the rows checkLut
+    // reports an Error for.
     DrtEngineOptions options;
     options.prewarm = false;
     options.lint.cost = flopCost;
     options.lint.memoryBudgetBytes = (peak_small + peak_full) / 2;
-    AccuracyResourceLut lut(points, "flops");
-    DrtEngine engine(ModelFamily::Segformer, base, SwinConfig{},
-                     std::move(lut), 17, options);
+    for (const std::vector<TradeoffPoint> &points :
+         {honest, mixedPoints(base)}) {
+        AccuracyResourceLut lut(points, "flops");
+        const LintReport report = checkLut(lut, ModelFamily::Segformer,
+                                           base, SwinConfig{},
+                                           options.lint);
+        DrtEngine engine(ModelFamily::Segformer, base, SwinConfig{},
+                         std::move(lut), 17, options);
 
-    ASSERT_EQ(engine.numPaths(), 2u);
-    EXPECT_EQ(engine.numVetoed(), 1u);
-    size_t vetoed = 0;
-    for (size_t i = 0; i < engine.numPaths(); ++i) {
-        if (engine.isVetoed(i)) {
-            ++vetoed;
-            EXPECT_EQ(engine.certifiedPeakBytes(i), peak_full);
-        } else {
-            EXPECT_EQ(engine.certifiedPeakBytes(i), peak_small);
+        ASSERT_EQ(engine.numPaths(), points.size());
+        EXPECT_EQ(engine.numVetoed(), points.size() - 1);
+        for (size_t i = 0; i < engine.numPaths(); ++i) {
+            const PruneConfig &config = engine.lut().entries()[i].config;
+            const std::string row = "row " + std::to_string(i) + " ";
+            bool row_error = false;
+            for (const Diagnostic &d : report.diagnostics())
+                row_error |= d.severity == Severity::Error &&
+                             d.message.rfind(row, 0) == 0;
+            EXPECT_EQ(engine.isVetoed(i), row_error) << config.label;
+            EXPECT_EQ(engine.isVetoed(i), config.label != "small")
+                << config.label;
+
+            Result<Graph> built = tryApplySegformerPrune(base, config);
+            EXPECT_EQ(engine.certifiedPeakBytes(i),
+                      built ? analysis::certifiedPeakBytes(built.value())
+                            : 0u)
+                << config.label;
         }
-    }
-    EXPECT_EQ(vetoed, 1u);
 
-    Rng rng(5);
-    Tensor image = Tensor::randn({1, 3, 64, 64}, rng);
-    DrtResult result = engine.infer(image, 1.0e18);
-    EXPECT_TRUE(result.healthy);
-    EXPECT_EQ(result.configLabel, "small");
+        Rng rng(5);
+        Tensor image = Tensor::randn({1, 3, 64, 64}, rng);
+        DrtResult result = engine.infer(image, 1.0e18);
+        EXPECT_TRUE(result.healthy);
+        EXPECT_EQ(result.configLabel, "small");
+    }
 
     // A budget below every config's bound fails create() recoverably.
     DrtEngineOptions tight = options;

@@ -6,8 +6,6 @@
 #include "engine/engine.hh"
 #include "util/random.hh"
 
-#include <cstring>
-
 namespace vitdyn
 {
 namespace
@@ -140,30 +138,6 @@ TEST_F(EngineFixture, InferRunsChosenPath)
     EXPECT_EQ(small.configLabel, "small");
     EXPECT_EQ(small.output.shape(), (Shape{1, 6, 64, 64}));
     EXPECT_LT(small.accuracyEstimate, full.accuracyEstimate);
-}
-
-TEST(EngineOptions, PassPipelineServesBitIdenticalAndSmallerGraphs)
-{
-    DrtEngineOptions opts;
-    opts.passPipeline = true;
-    DrtEngine rewritten(ModelFamily::Segformer, tinyBase(), SwinConfig{},
-                        AccuracyResourceLut(tinyPoints(), "ms"), 17,
-                        opts);
-    DrtEngine plain(ModelFamily::Segformer, tinyBase(), SwinConfig{},
-                    AccuracyResourceLut(tinyPoints(), "ms"), 17);
-
-    Rng rng(1);
-    Tensor image = Tensor::randn({1, 3, 64, 64}, rng);
-    DrtResult a = rewritten.infer(image, 1000.0);
-    DrtResult b = plain.infer(image, 1000.0);
-    EXPECT_EQ(a.configLabel, b.configLabel);
-    ASSERT_EQ(a.output.shape(), b.output.shape());
-    EXPECT_EQ(std::memcmp(a.output.data(), b.output.data(),
-                          sizeof(float) * a.output.numel()),
-              0);
-    // The pipeline did rewrite the served path, not just run.
-    EXPECT_LT(rewritten.pathGraph(2).numLayers(),
-              plain.pathGraph(2).numLayers());
 }
 
 TEST_F(EngineFixture, PrunedOutputDeviatesButCorrelates)

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/lint.hh"
 #include "engine/model_switching.hh"
 #include "profile/gpu_model.hh"
 
@@ -51,28 +50,6 @@ TEST_F(SwitchingFixture, GenerousBudgetPicksFullModel)
     auto choice = engine_.select(1e9);
     EXPECT_NEAR(choice.accuracy, 1.0, 1e-9);
     EXPECT_TRUE(choice.budgetMet);
-}
-
-TEST_F(SwitchingFixture, PassPipelineRewritesMaterializedGraphs)
-{
-    auto choice = engine_.select(1e9);
-    auto plain = engine_.acquireExecutor(choice);
-
-    PathCacheOptions options;
-    options.passPipeline = true;
-    ModelSwitchingEngine rewriting(
-        ModelFamily::Segformer, segformerTrainedVariants(),
-        segformerAdePruneCatalog(), acc_,
-        [this](const Graph &g) { return gpu_.graphTimeMs(g); }, 1,
-        options);
-    auto rewritten = rewriting.acquireExecutor(choice);
-
-    // The pipeline fused layers out of the candidate graph and left it
-    // lint-clean; bit-identity of fused execution is covered by
-    // test_passes / test_engine.
-    EXPECT_LT(rewritten->graph.numLayers(), plain->graph.numLayers());
-    EXPECT_TRUE(lintGraph(rewritten->graph).clean())
-        << lintGraph(rewritten->graph).toText();
 }
 
 TEST_F(SwitchingFixture, TinyBudgetPicksTrainedVariant)

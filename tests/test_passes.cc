@@ -180,29 +180,49 @@ TEST(FuseConvBnAct, GraphOutputTailIsNeverAbsorbed)
     EXPECT_GE(g.findLayer("relu"), 0);
 }
 
+/** A small SegFormer: the real model structure at a test-sized cost. */
+Graph
+tinySegformer()
+{
+    SegformerConfig cfg;
+    cfg.name = "segformer_tiny_test";
+    cfg.imageH = cfg.imageW = 64;
+    cfg.numClasses = 6;
+    cfg.embedDims = {8, 16, 24, 32};
+    cfg.depths = {2, 2, 2, 2};
+    cfg.numHeads = {1, 2, 3, 4};
+    cfg.decoderDim = 32;
+    return buildSegformer(cfg);
+}
+
 TEST(FuseConvBnAct, FusedExecutionBitIdenticalAtAnyThreadCount)
 {
-    Graph unfused = convBnReluGraph();
-    Graph fused = convBnReluGraph();
-    PassManager pipeline = PassManager::standardPipeline();
-    ASSERT_TRUE(pipeline.run(fused));
-
-    WeightStore store;
-    Executor ex_unfused(unfused, 7, &store);
-    Executor ex_fused(fused, 7, &store);
-
-    Rng rng(3);
-    const Tensor x = Tensor::randn({1, 4, 8, 8}, rng);
     const int restore = ThreadPool::instance().threads();
-    for (int threads : {1, 4}) {
-        ThreadPool::instance().resize(threads);
-        Tensor a = ex_unfused.run({{"input", x}}).at("head");
-        Tensor b = ex_fused.run({{"input", x}}).at("head");
-        ASSERT_EQ(a.shape(), b.shape());
-        EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                              sizeof(float) * a.numel()),
-                  0)
-            << "fused output diverged at " << threads << " threads";
+    for (const Graph &unfused : {convBnReluGraph(), tinySegformer()}) {
+        Graph fused = unfused;
+        PassManager pipeline = PassManager::standardPipeline();
+        ASSERT_TRUE(pipeline.run(fused)) << unfused.name();
+        EXPECT_LT(fused.numLayers(), unfused.numLayers())
+            << unfused.name();
+
+        WeightStore store;
+        Executor ex_unfused(unfused, 7, &store);
+        Executor ex_fused(fused, 7, &store);
+
+        Rng rng(3);
+        const Tensor x = Tensor::randn(
+            unfused.layer(unfused.inputs()[0]).outShape, rng);
+        for (int threads : {1, 4}) {
+            ThreadPool::instance().resize(threads);
+            Tensor a = ex_unfused.runSimple(x);
+            Tensor b = ex_fused.runSimple(x);
+            ASSERT_EQ(a.shape(), b.shape());
+            EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                                  sizeof(float) * a.numel()),
+                      0)
+                << unfused.name() << " fused output diverged at "
+                << threads << " threads";
+        }
     }
     ThreadPool::instance().resize(restore);
 }

@@ -72,10 +72,11 @@ class CountingCache
               3,
               [this](size_t key) {
                   ++builds[key];
-                  return PathSource{"p" + std::to_string(key),
-                                    tinyConvGraph(
-                                        4 + static_cast<int64_t>(key)),
-                                    nullptr};
+                  return PathSource{
+                      "p" + std::to_string(key),
+                      std::make_shared<const Graph>(
+                          tinyConvGraph(4 + static_cast<int64_t>(key))),
+                      nullptr};
               },
               std::move(configure))
     {
@@ -145,7 +146,7 @@ TEST(PathCache, EvictedPathStaysValidForItsHolder)
     EXPECT_EQ(std::memcmp(y.data(), ref.data(),
                           static_cast<size_t>(y.numel()) * sizeof(float)),
               0);
-    EXPECT_EQ(held->graph.numLayers(), g.numLayers());
+    EXPECT_EQ(held->graph->numLayers(), g.numLayers());
 }
 
 TEST(PathCache, ConfigureRunsOnMissAndOnReconfigure)

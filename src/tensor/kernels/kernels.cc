@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "tensor/kernels/tanh_lanes.hh"
 #include "util/logging.hh"
 
 namespace vitdyn
@@ -81,7 +82,26 @@ dequantizeScalar(const int8_t *q, float scale, float *out, int64_t n)
         out[i] = q[i] * scale;
 }
 
+void
+geluScalarSpan(const float *x, float *y, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i)
+        y[i] = lanes::geluLanes(x[i]);
+}
+
 } // namespace kernels
+
+float
+tanhScalar(float x)
+{
+    return lanes::tanhLanes(x);
+}
+
+float
+geluScalar(float v)
+{
+    return lanes::geluLanes(v);
+}
 
 namespace
 {
@@ -93,6 +113,7 @@ const Microkernels kScalarKernels = {
     kernels::dotS8Scalar,
     kernels::quantizeScalar,
     kernels::dequantizeScalar,
+    kernels::geluScalarSpan,
 };
 
 } // namespace

@@ -15,6 +15,10 @@
  *    keeping each element's mul-then-add rounding sequence, and
  *    integer accumulation is order-free.
  *
+ * GELU (geluF32) is exact the same way: tanh_lanes.hh ports fdlibm's
+ * tanhf once as a template over a lane type, so every SIMD lane runs
+ * the scalar reference's exact sequence of IEEE operations.
+ *
  * The GEMM tile accumulates into `out` (it reads the partial sums the
  * previous call left there), so the GEMM driver (tensor/gemm.hh) can
  * split the accumulation axis into chunks and park each element's
@@ -117,7 +121,31 @@ struct Microkernels
     /** out[i] = q[i] * scale. */
     void (*dequantizeS8F32)(const int8_t *q, float scale, float *out,
                             int64_t n);
+
+    /**
+     * y[i] = geluScalar(x[i]) for i in [0, n); @p x == @p y is
+     * allowed. The SIMD bodies run tanh_lanes.hh's port of fdlibm's
+     * tanhf in every lane — the scalar code's exact sequence of IEEE
+     * operations, with no FMA — and hand the 1 to lanes-1 element
+     * tail to geluScalar(), so every ISA is memcmp-identical to it.
+     */
+    void (*geluF32)(const float *x, float *y, int64_t n);
 };
+
+/**
+ * tanh of one float: fdlibm's tanhf, ported in tanh_lanes.hh, so its
+ * bits do not depend on the host's libm (they equal glibc's tanhf
+ * where that is fdlibm's, as in glibc 2.36).
+ */
+float tanhScalar(float x);
+
+/**
+ * GELU of one element, tanh approximation as used by PyTorch:
+ * 0.5 v (1 + tanh(sqrt(2/pi) (v + 0.044715 v^3))) with tanhScalar().
+ * The reference every geluF32 kernel reproduces, and so the one
+ * expression behind gelu(), geluInPlace() and the fused conv epilogue.
+ */
+float geluScalar(float v);
 
 /**
  * Microkernel set for @p isa. Entries whose ISA is compiled out or

@@ -13,7 +13,8 @@
  * Vectorization here is always across independent output elements
  * (the j/column axis); each element's accumulation starts from its
  * value in `out` and still walks l in ascending order, so results are
- * memcmp-identical to kernels::gemmTileScalar for any blocking.
+ * memcmp-identical to kernels::gemmTileScalar for any blocking. GELU
+ * runs tanh_lanes.hh's fdlibm port on 8 lanes (the lane types below).
  */
 
 #if defined(VITDYN_HAVE_KERNELS_AVX2)
@@ -24,12 +25,92 @@
 #include <cmath>
 
 #include "tensor/kernels/kernels.hh"
+#include "tensor/kernels/tanh_lanes.hh"
 
 namespace vitdyn
 {
 
 namespace
 {
+
+// 8-lane types for tanh_lanes.hh (its file comment lists the contract).
+struct Mask8
+{
+    __m256i v;
+};
+
+struct F32x8
+{
+    static constexpr int64_t kWidth = 8;
+    __m256 v;
+    F32x8(__m256 x) : v(x) {}
+    F32x8(float s) : v(_mm256_set1_ps(s)) {}
+    static F32x8 load(const float *p) { return _mm256_loadu_ps(p); }
+    void store(float *p) const { _mm256_storeu_ps(p, v); }
+};
+
+struct I32x8
+{
+    __m256i v;
+    I32x8(__m256i x) : v(x) {}
+    I32x8(int32_t s) : v(_mm256_set1_epi32(s)) {}
+};
+
+inline F32x8 operator+(F32x8 a, F32x8 b) { return _mm256_add_ps(a.v, b.v); }
+inline F32x8 operator-(F32x8 a, F32x8 b) { return _mm256_sub_ps(a.v, b.v); }
+inline F32x8 operator*(F32x8 a, F32x8 b) { return _mm256_mul_ps(a.v, b.v); }
+inline F32x8 operator/(F32x8 a, F32x8 b) { return _mm256_div_ps(a.v, b.v); }
+inline F32x8
+operator-(F32x8 a)
+{
+    return _mm256_xor_ps(a.v, _mm256_set1_ps(-0.0f));
+}
+
+inline I32x8 operator+(I32x8 a, I32x8 b) { return _mm256_add_epi32(a.v, b.v); }
+inline I32x8 operator-(I32x8 a, I32x8 b) { return _mm256_sub_epi32(a.v, b.v); }
+inline I32x8 operator&(I32x8 a, I32x8 b) { return _mm256_and_si256(a.v, b.v); }
+inline Mask8
+operator>(I32x8 a, I32x8 b)
+{
+    return {_mm256_cmpgt_epi32(a.v, b.v)};
+}
+inline Mask8
+operator<(I32x8 a, I32x8 b)
+{
+    return {_mm256_cmpgt_epi32(b.v, a.v)};
+}
+inline Mask8
+operator==(I32x8 a, I32x8 b)
+{
+    return {_mm256_cmpeq_epi32(a.v, b.v)};
+}
+inline Mask8
+operator>=(I32x8 a, I32x8 b)
+{
+    return {_mm256_xor_si256((a < b).v, _mm256_set1_epi32(-1))};
+}
+inline Mask8
+operator<=(I32x8 a, I32x8 b)
+{
+    return {_mm256_xor_si256((a > b).v, _mm256_set1_epi32(-1))};
+}
+
+inline I32x8 bitsOf(F32x8 a) { return _mm256_castps_si256(a.v); }
+inline F32x8 floatOf(I32x8 a) { return _mm256_castsi256_ps(a.v); }
+inline F32x8 toFloat(I32x8 a) { return _mm256_cvtepi32_ps(a.v); }
+inline I32x8 truncToInt(F32x8 a) { return _mm256_cvttps_epi32(a.v); }
+inline I32x8 shl23(I32x8 a) { return _mm256_slli_epi32(a.v, 23); }
+inline I32x8 srlv(I32x8 a, I32x8 n) { return _mm256_srlv_epi32(a.v, n.v); }
+inline F32x8
+select(Mask8 m, F32x8 a, F32x8 b)
+{
+    return _mm256_blendv_ps(b.v, a.v, _mm256_castsi256_ps(m.v));
+}
+inline I32x8
+select(Mask8 m, I32x8 a, I32x8 b)
+{
+    return _mm256_blendv_epi8(b.v, a.v, m.v);
+}
 
 /**
  * R rows x 8 columns of the exact tile. With Masked, only the lanes
@@ -279,9 +360,15 @@ dequantizeAvx2(const int8_t *q, float scale, float *out, int64_t n)
         out[i] = q[i] * scale;
 }
 
+void
+geluAvx2(const float *x, float *y, int64_t n)
+{
+    lanes::geluSpan<F32x8>(x, y, n);
+}
+
 const Microkernels kAvx2Kernels = {
-    IsaLevel::Avx2, gemmTileExactAvx2, axpyAvx2,      dotS8Avx2,
-    quantizeAvx2,   dequantizeAvx2,
+    IsaLevel::Avx2, gemmTileExactAvx2, axpyAvx2, dotS8Avx2,
+    quantizeAvx2,   dequantizeAvx2,    geluAvx2,
 };
 
 } // namespace

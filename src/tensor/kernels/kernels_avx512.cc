@@ -12,9 +12,10 @@
  * As in kernels_avx2.cc, vectorization is across independent output
  * columns; each element starts from its value in `out` and walks l in
  * ascending order, so results are memcmp-identical to
- * kernels::gemmTileScalar for any blocking. Only the GEMM tile has an
- * AVX-512 body: the other entries (axpy, int8 dot, quantize) are off
- * the hot path and reuse the AVX2 kernels.
+ * kernels::gemmTileScalar for any blocking. The GEMM tile and GELU
+ * (tanh_lanes.hh's fdlibm port on 16 lanes) have AVX-512 bodies: the
+ * other entries (axpy, int8 dot, quantize) are off the hot path and
+ * reuse the AVX2 kernels.
  */
 
 #if defined(VITDYN_HAVE_KERNELS_AVX512)
@@ -24,6 +25,7 @@
 #include <algorithm>
 
 #include "tensor/kernels/kernels.hh"
+#include "tensor/kernels/tanh_lanes.hh"
 
 namespace vitdyn
 {
@@ -32,6 +34,123 @@ const Microkernels &avx2Microkernels();
 
 namespace
 {
+
+// 16-lane types for tanh_lanes.hh (its file comment lists the
+// contract). AVX-512F alone has no float-domain logic ops (they are
+// AVX-512DQ), so negation flips the sign bit in the integer domain.
+struct Mask16
+{
+    __mmask16 v;
+};
+
+struct F32x16
+{
+    static constexpr int64_t kWidth = 16;
+    __m512 v;
+    F32x16(__m512 x) : v(x) {}
+    F32x16(float s) : v(_mm512_set1_ps(s)) {}
+    static F32x16 load(const float *p) { return _mm512_loadu_ps(p); }
+    void store(float *p) const { _mm512_storeu_ps(p, v); }
+};
+
+struct I32x16
+{
+    __m512i v;
+    I32x16(__m512i x) : v(x) {}
+    I32x16(int32_t s) : v(_mm512_set1_epi32(s)) {}
+};
+
+inline F32x16
+operator+(F32x16 a, F32x16 b)
+{
+    return _mm512_add_ps(a.v, b.v);
+}
+inline F32x16
+operator-(F32x16 a, F32x16 b)
+{
+    return _mm512_sub_ps(a.v, b.v);
+}
+inline F32x16
+operator*(F32x16 a, F32x16 b)
+{
+    return _mm512_mul_ps(a.v, b.v);
+}
+inline F32x16
+operator/(F32x16 a, F32x16 b)
+{
+    return _mm512_div_ps(a.v, b.v);
+}
+inline F32x16
+operator-(F32x16 a)
+{
+    return _mm512_castsi512_ps(_mm512_xor_si512(
+        _mm512_castps_si512(a.v),
+        _mm512_set1_epi32(static_cast<int32_t>(0x80000000u))));
+}
+
+inline I32x16
+operator+(I32x16 a, I32x16 b)
+{
+    return _mm512_add_epi32(a.v, b.v);
+}
+inline I32x16
+operator-(I32x16 a, I32x16 b)
+{
+    return _mm512_sub_epi32(a.v, b.v);
+}
+inline I32x16
+operator&(I32x16 a, I32x16 b)
+{
+    return _mm512_and_si512(a.v, b.v);
+}
+inline Mask16
+operator<(I32x16 a, I32x16 b)
+{
+    return {_mm512_cmp_epi32_mask(a.v, b.v, _MM_CMPINT_LT)};
+}
+inline Mask16
+operator<=(I32x16 a, I32x16 b)
+{
+    return {_mm512_cmp_epi32_mask(a.v, b.v, _MM_CMPINT_LE)};
+}
+inline Mask16
+operator>(I32x16 a, I32x16 b)
+{
+    return {_mm512_cmp_epi32_mask(a.v, b.v, _MM_CMPINT_NLE)};
+}
+inline Mask16
+operator>=(I32x16 a, I32x16 b)
+{
+    return {_mm512_cmp_epi32_mask(a.v, b.v, _MM_CMPINT_NLT)};
+}
+inline Mask16
+operator==(I32x16 a, I32x16 b)
+{
+    return {_mm512_cmp_epi32_mask(a.v, b.v, _MM_CMPINT_EQ)};
+}
+
+// GCC 12's avx512fintrin.h passes a self-initialized
+// _mm512_undefined_*() as the unused merge operand of these four
+// intrinsics, which -Wmaybe-uninitialized reports once they inline.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+inline I32x16 bitsOf(F32x16 a) { return _mm512_castps_si512(a.v); }
+inline F32x16 floatOf(I32x16 a) { return _mm512_castsi512_ps(a.v); }
+inline F32x16 toFloat(I32x16 a) { return _mm512_cvtepi32_ps(a.v); }
+inline I32x16 truncToInt(F32x16 a) { return _mm512_cvttps_epi32(a.v); }
+inline I32x16 shl23(I32x16 a) { return _mm512_slli_epi32(a.v, 23); }
+inline I32x16 srlv(I32x16 a, I32x16 n) { return _mm512_srlv_epi32(a.v, n.v); }
+inline F32x16
+select(Mask16 m, F32x16 a, F32x16 b)
+{
+    return _mm512_mask_blend_ps(m.v, b.v, a.v);
+}
+inline I32x16
+select(Mask16 m, I32x16 a, I32x16 b)
+{
+    return _mm512_mask_blend_epi32(m.v, b.v, a.v);
+}
+#pragma GCC diagnostic pop
 
 /** Rows of the register tile: 6 rows x 2 vectors = 12 accumulators. */
 constexpr int kTileRows = 6;
@@ -148,6 +267,12 @@ gemmTileExactAvx512(const float *w, int64_t ldw, const float *col,
                               lanes(cols));
 }
 
+void
+geluAvx512(const float *x, float *y, int64_t n)
+{
+    lanes::geluSpan<F32x16>(x, y, n);
+}
+
 } // namespace
 
 const Microkernels &
@@ -157,6 +282,7 @@ avx512Microkernels()
         Microkernels mk = avx2Microkernels();
         mk.isa = IsaLevel::Avx512;
         mk.gemmTileExact = gemmTileExactAvx512;
+        mk.geluF32 = geluAvx512;
         return mk;
     }();
     return kernels;

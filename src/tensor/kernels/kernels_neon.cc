@@ -9,7 +9,8 @@
  * fmla. As in kernels_avx2.cc, vectorization is across independent
  * output columns with each element starting from its value in `out`
  * and walking l in ascending order, so results stay memcmp-identical
- * to kernels::gemmTileScalar.
+ * to kernels::gemmTileScalar. GELU runs tanh_lanes.hh's fdlibm port
+ * on 4 lanes (the lane types below).
  */
 
 #if defined(VITDYN_HAVE_KERNELS_NEON)
@@ -20,12 +21,74 @@
 #include <cmath>
 
 #include "tensor/kernels/kernels.hh"
+#include "tensor/kernels/tanh_lanes.hh"
 
 namespace vitdyn
 {
 
 namespace
 {
+
+// 4-lane types for tanh_lanes.hh (its file comment lists the contract).
+struct Mask4
+{
+    uint32x4_t v;
+};
+
+struct F32x4
+{
+    static constexpr int64_t kWidth = 4;
+    float32x4_t v;
+    F32x4(float32x4_t x) : v(x) {}
+    F32x4(float s) : v(vdupq_n_f32(s)) {}
+    static F32x4 load(const float *p) { return vld1q_f32(p); }
+    void store(float *p) const { vst1q_f32(p, v); }
+};
+
+struct I32x4
+{
+    int32x4_t v;
+    I32x4(int32x4_t x) : v(x) {}
+    I32x4(int32_t s) : v(vdupq_n_s32(s)) {}
+};
+
+inline F32x4 operator+(F32x4 a, F32x4 b) { return vaddq_f32(a.v, b.v); }
+inline F32x4 operator-(F32x4 a, F32x4 b) { return vsubq_f32(a.v, b.v); }
+inline F32x4 operator*(F32x4 a, F32x4 b) { return vmulq_f32(a.v, b.v); }
+inline F32x4 operator/(F32x4 a, F32x4 b) { return vdivq_f32(a.v, b.v); }
+inline F32x4 operator-(F32x4 a) { return vnegq_f32(a.v); }
+
+inline I32x4 operator+(I32x4 a, I32x4 b) { return vaddq_s32(a.v, b.v); }
+inline I32x4 operator-(I32x4 a, I32x4 b) { return vsubq_s32(a.v, b.v); }
+inline I32x4 operator&(I32x4 a, I32x4 b) { return vandq_s32(a.v, b.v); }
+inline Mask4 operator<(I32x4 a, I32x4 b) { return {vcltq_s32(a.v, b.v)}; }
+inline Mask4 operator<=(I32x4 a, I32x4 b) { return {vcleq_s32(a.v, b.v)}; }
+inline Mask4 operator>(I32x4 a, I32x4 b) { return {vcgtq_s32(a.v, b.v)}; }
+inline Mask4 operator>=(I32x4 a, I32x4 b) { return {vcgeq_s32(a.v, b.v)}; }
+inline Mask4 operator==(I32x4 a, I32x4 b) { return {vceqq_s32(a.v, b.v)}; }
+
+inline I32x4 bitsOf(F32x4 a) { return vreinterpretq_s32_f32(a.v); }
+inline F32x4 floatOf(I32x4 a) { return vreinterpretq_f32_s32(a.v); }
+inline F32x4 toFloat(I32x4 a) { return vcvtq_f32_s32(a.v); }
+inline I32x4 truncToInt(F32x4 a) { return vcvtq_s32_f32(a.v); }
+inline I32x4 shl23(I32x4 a) { return vshlq_n_s32(a.v, 23); }
+/** USHL by -n: a logical right shift for n in [0, 31]. */
+inline I32x4
+srlv(I32x4 a, I32x4 n)
+{
+    return vreinterpretq_s32_u32(
+        vshlq_u32(vreinterpretq_u32_s32(a.v), vnegq_s32(n.v)));
+}
+inline F32x4
+select(Mask4 m, F32x4 a, F32x4 b)
+{
+    return vbslq_f32(m.v, a.v, b.v);
+}
+inline I32x4
+select(Mask4 m, I32x4 a, I32x4 b)
+{
+    return vbslq_s32(m.v, a.v, b.v);
+}
 
 void
 gemmTileExactNeon(const float *w, int64_t ldw, const float *col,
@@ -206,9 +269,15 @@ dequantizeNeon(const int8_t *q, float scale, float *out, int64_t n)
         out[i] = q[i] * scale;
 }
 
+void
+geluNeon(const float *x, float *y, int64_t n)
+{
+    lanes::geluSpan<F32x4>(x, y, n);
+}
+
 const Microkernels kNeonKernels = {
-    IsaLevel::Neon, gemmTileExactNeon, axpyNeon,      dotS8Neon,
-    quantizeNeon,   dequantizeNeon,
+    IsaLevel::Neon, gemmTileExactNeon, axpyNeon, dotS8Neon,
+    quantizeNeon,   dequantizeNeon,    geluNeon,
 };
 
 } // namespace

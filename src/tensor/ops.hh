@@ -17,7 +17,6 @@
 #ifndef VITDYN_TENSOR_OPS_HH
 #define VITDYN_TENSOR_OPS_HH
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -222,28 +221,19 @@ Tensor batchNorm(const Tensor &input, const Tensor &gamma,
 Tensor relu(const Tensor &input);
 
 /**
- * GELU of one element, tanh approximation as used by PyTorch:
- * 0.5 v (1 + tanh(sqrt(2/pi) (v + 0.044715 v^3))). The one expression
- * behind gelu(), geluInPlace() and the fused conv epilogue, so the
- * fused and unfused paths cannot drift apart by a bit.
+ * GELU's cost per element in FLOPs, as the kernels size their shards.
+ * The geluF32 kernels run tanh without a libm call, at about 2 ns per
+ * element on one AVX-512 core and 4 ns on AVX2 (BM_Gelu), where
+ * libm's scalar tanhf took 29 ns and was costed at 32; so a shard
+ * carries 65536 elements, and smaller activations run inline.
  */
-inline float
-geluScalar(float v)
-{
-    constexpr float kAlpha = 0.7978845608f; // sqrt(2/pi)
-    const float inner = kAlpha * (v + 0.044715f * v * v * v);
-    return 0.5f * v * (1.0f + std::tanh(inner));
-}
+constexpr int64_t kGeluFlops = 4;
 
 /**
- * geluScalar()'s cost in FLOPs, as the kernels size their shards. The
- * scalar tanh dominates and takes as long as a few dozen FLOPs, so a
- * shard carries 8192 elements: B2's activations shard, the soak
- * model's (at most 8192 elements) stay inline.
+ * Elementwise GELU: geluScalar() (tensor/kernels/kernels.hh) per
+ * element, through the active ISA's geluF32 kernel, which is
+ * memcmp-identical to it.
  */
-constexpr int64_t kGeluFlops = 32;
-
-/** Elementwise GELU (geluScalar() per element). */
 Tensor gelu(const Tensor &input);
 
 /** Elementwise sum; shapes must match. */

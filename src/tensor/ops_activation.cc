@@ -27,6 +27,21 @@ forEachIndex(int64_t n, int64_t flops_per_elem, const Fn &fn)
     });
 }
 
+/**
+ * y = GELU(x) over @p n elements (@p x may be @p y), sharded like
+ * forEachIndex: each shard hands its contiguous range to the active
+ * geluF32 kernel, which gives every element geluScalar()'s bits.
+ */
+void
+geluSharded(const float *x, float *y, int64_t n)
+{
+    const auto kernel = activeKernels().geluF32;
+    parallelFor(0, n, grainForFlops(kGeluFlops),
+                [&](int64_t i0, int64_t i1) {
+        kernel(x + i0, y + i0, i1 - i0);
+    });
+}
+
 } // namespace
 
 Tensor
@@ -45,10 +60,7 @@ Tensor
 gelu(const Tensor &input)
 {
     Tensor out(input.shape());
-    const float *x = input.data();
-    float *y = out.data();
-    forEachIndex(input.numel(), kGeluFlops,
-                 [&](int64_t i) { y[i] = geluScalar(x[i]); });
+    geluSharded(input.data(), out.data(), input.numel());
     return out;
 }
 
@@ -78,9 +90,7 @@ reluInPlace(Tensor &x)
 void
 geluInPlace(Tensor &x)
 {
-    float *y = x.data();
-    forEachIndex(x.numel(), kGeluFlops,
-                 [&](int64_t i) { y[i] = geluScalar(y[i]); });
+    geluSharded(x.data(), x.data(), x.numel());
 }
 
 void

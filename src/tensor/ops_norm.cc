@@ -143,6 +143,7 @@ convEpilogueInPlace(Tensor &x, const float *scale, const float *shift,
     const int64_t hw = x.dim(2) * x.dim(3);
     const int64_t rows = x.dim(0) * c;
     float *data = x.data();
+    const auto gelu = activeKernels().geluF32;
 
     // Elementwise over disjoint (n, c) rows: deterministic under the
     // sharded parallelFor at any thread count.
@@ -168,8 +169,7 @@ convEpilogueInPlace(Tensor &x, const float *scale, const float *shift,
                     y[i] = y[i] > 0.0f ? y[i] : 0.0f;
                 break;
               case EpilogueAct::GELU:
-                for (int64_t i = 0; i < hw; ++i)
-                    y[i] = geluScalar(y[i]);
+                gelu(y, y, hw);
                 break;
             }
         }

@@ -326,6 +326,192 @@ TEST(Dequantize, BitIdenticalToScalarOverAllInt8Values)
 }
 
 // ---------------------------------------------------------------------
+// GELU: every ISA's geluF32 must be memcmp-identical to geluScalar(),
+// the fdlibm tanhf port of tanh_lanes.hh, on the edges of every branch
+// that port takes, on a strided sweep of the 2^32 bit patterns and at
+// every tail length; and geluScalar() itself is pinned by a hash.
+// (tools/vitdyn_gelu_check sweeps all 2^32 inputs.)
+// ---------------------------------------------------------------------
+
+float
+fromBits(uint32_t bits)
+{
+    float f;
+    std::memcpy(&f, &bits, sizeof f);
+    return f;
+}
+
+uint32_t
+toBits(float f)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &f, sizeof bits);
+    return bits;
+}
+
+/** Largest non-negative bit pattern b in [lo, hi) with below(b), for a
+ *  predicate that holds on a prefix of the range (bisection). */
+template <typename Pred>
+uint32_t
+lastBelow(uint32_t lo, uint32_t hi, const Pred &below)
+{
+    while (hi - lo > 1) {
+        const uint32_t mid = lo + (hi - lo) / 2;
+        (below(mid) ? lo : hi) = mid;
+    }
+    return lo;
+}
+
+/**
+ * GELU inputs for the edge table. tanh's edges are edges of its
+ * argument u = sqrt(2/pi) (v + 0.044715 v^3), so each is mapped back
+ * to the inputs v around the one whose u is closest below it (u rises
+ * with v, and several v can share a u).
+ */
+std::vector<float>
+geluEdgeInputs()
+{
+    // tanhf's thresholds: |u| = 2^-55, 1 and 22.
+    std::vector<uint32_t> edges = {0x24000000, 0x3f800000, 0x41b00000};
+    // expm1f's reduction boundaries reachable from tanhf, which passes
+    // it -2|u| for |u| < 1: |2u| = 2^-25 (tiny), 0.5 ln2 (k = 0 / -1)
+    // and 1.5 ln2 (k = -1 / -2); halving is exact.
+    for (uint32_t arg : {0x33000000u, 0x3eb17218u, 0x3F851592u})
+        edges.push_back(arg - (1u << 23));
+    // ... and 2|u| for |u| >= 1, with k = (int)(invln2 * 2u + 0.5):
+    // the first u of k = 23 and of k = 57.
+    for (int k : {23, 57})
+        edges.push_back(1 + lastBelow(0x3f800000, 0x41b00000,
+                                      [k](uint32_t b) {
+            return static_cast<int>(1.4426950216f * (2.0f * fromBits(b)) +
+                                    0.5f) < k;
+        }));
+
+    std::vector<float> v;
+    for (uint32_t edge : edges)
+        for (uint32_t u = edge - 1; u <= edge + 1; ++u) {
+            v.push_back(fromBits(u)); // u itself as a GELU input too
+            const uint32_t at = lastBelow(0, 0x7f800000, [u](uint32_t b) {
+                const float x = fromBits(b);
+                return 0.7978845608f * (x + 0.044715f * x * x * x) <=
+                       fromBits(u);
+            });
+            for (uint32_t b = at - 2; b <= at + 2; ++b)
+                v.push_back(fromBits(b));
+        }
+    // Signs, zeros, denormals, extremes, Inf and NaNs with payloads
+    // (quiet and signalling).
+    for (uint32_t b :
+         {0x00000000u, 0x00000001u, 0x007fffffu, 0x00800000u, 0x7f7fffffu,
+          0x7f800000u, 0x7fc00000u, 0x7fc12345u, 0x7f800001u, 0x7fa54321u})
+        v.push_back(fromBits(b));
+    const size_t positives = v.size();
+    for (size_t i = 0; i < positives; ++i)
+        v.push_back(fromBits(toBits(v[i]) ^ 0x80000000u));
+    return v;
+}
+
+/** Every 4099th of the 2^32 bit patterns: about 1.05 million. */
+std::vector<float>
+geluSweepInputs()
+{
+    constexpr uint64_t kStride = 4099;
+    std::vector<float> v;
+    for (uint64_t b = 0; b < (uint64_t(1) << 32); b += kStride)
+        v.push_back(fromBits(static_cast<uint32_t>(b)));
+    return v;
+}
+
+::testing::AssertionResult
+geluMatchesReference(IsaLevel isa, const std::vector<float> &x)
+{
+    const int64_t n = static_cast<int64_t>(x.size());
+    std::vector<float> want(x.size()), got(x.size());
+    kernelsFor(IsaLevel::Scalar).geluF32(x.data(), want.data(), n);
+    kernelsFor(isa).geluF32(x.data(), got.data(), n);
+    for (int64_t i = 0; i < n; ++i)
+        if (toBits(want[i]) != toBits(got[i]))
+            return ::testing::AssertionFailure()
+                   << isaName(isa) << ": x bits 0x" << std::hex
+                   << toBits(x[i]) << " gave 0x" << toBits(got[i])
+                   << ", reference 0x" << toBits(want[i]);
+    return ::testing::AssertionSuccess();
+}
+
+TEST(GeluKernel, EdgeTableMatchesScalarReference)
+{
+    const std::vector<float> x = geluEdgeInputs();
+    for (IsaLevel isa : availableIsas())
+        EXPECT_TRUE(geluMatchesReference(isa, x));
+}
+
+TEST(GeluKernel, StridedSweepMatchesScalarReference)
+{
+    const std::vector<float> x = geluSweepInputs();
+    for (IsaLevel isa : availableIsas())
+        EXPECT_TRUE(geluMatchesReference(isa, x));
+}
+
+TEST(GeluKernel, ScalarReferencePinnedByHash)
+{
+    // FNV-1a over geluScalar()'s output bits on the sweep, made on an
+    // x86-64 host where tanhScalar() equals glibc 2.36's tanhf on all
+    // 2^32 inputs. Any edit that moves an output bit fails here on
+    // every host, whatever its libm. NaNs hash as one value: the NaN
+    // an invalid operation makes (GELU(-Inf) = -Inf * 0) is negative
+    // on x86 and positive on AArch64.
+    const std::vector<float> x = geluSweepInputs();
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (float v : x) {
+        const float y = geluScalar(v);
+        const uint32_t bits = std::isnan(y) ? 0x7fc00000u : toBits(y);
+        for (int byte = 0; byte < 4; ++byte) {
+            hash ^= (bits >> (8 * byte)) & 0xffu;
+            hash *= 0x100000001b3ull;
+        }
+    }
+    EXPECT_EQ(hash, 0xb137a197e0778805ull) << std::hex << hash;
+}
+
+TEST(GeluKernel, SpanLengthsAndMisalignedStartsCoverTails)
+{
+    // Lengths 0-33 (every tail of 4-, 8- and 16-lane bodies, and two
+    // full vectors of the widest) at every start offset mod 16, out of
+    // place and in place; floats outside the span stay untouched.
+    Rng rng(211);
+    std::vector<float> src(64);
+    for (float &f : src)
+        f = static_cast<float>(rng.normal(0.0, 3.0));
+    src[5] = std::numeric_limits<float>::infinity();
+    src[9] = std::nanf("3");
+    src[12] = -0.0f;
+    const float sentinel = fromBits(0x7fbadbadu);
+    for (IsaLevel isa : availableIsas()) {
+        const Microkernels &mk = kernelsFor(isa);
+        for (int64_t offset = 0; offset < 16; ++offset)
+            for (int64_t n = 0; n <= 33; ++n) {
+                std::vector<float> want(src.size(), sentinel);
+                for (int64_t i = 0; i < n; ++i)
+                    want[offset + i] = geluScalar(src[offset + i]);
+                std::vector<float> out(src.size(), sentinel);
+                mk.geluF32(src.data() + offset, out.data() + offset, n);
+                EXPECT_TRUE(bitEqual(want, out))
+                    << isaName(isa) << " offset " << offset << " n " << n;
+                std::vector<float> inplace = src;
+                mk.geluF32(inplace.data() + offset, inplace.data() + offset,
+                           n);
+                for (int64_t i = 0; i < static_cast<int64_t>(src.size());
+                     ++i)
+                    if (i < offset || i >= offset + n)
+                        want[i] = src[i];
+                EXPECT_TRUE(bitEqual(want, inplace))
+                    << isaName(isa) << " in place, offset " << offset
+                    << " n " << n;
+            }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Op-level parity: the dispatched SIMD paths inside conv2d / linear /
 // matmul / quant must be memcmp-identical to their scalar-contract
 // outputs at multiple thread counts.

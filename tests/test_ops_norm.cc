@@ -318,14 +318,15 @@ TEST(CyclicShift, MovesExpectedPixel)
 // including inputs holding -0.0, NaN and +-Inf.
 // ---------------------------------------------------------------------
 
-/** The GELU expression gelu(), geluInPlace() and the fused epilogue
- *  each spelled out before. */
+/** The GELU gelu(), geluInPlace() and the fused epilogue each owe per
+ *  element: the scalar reference, whose tanh is the repo's own fdlibm
+ *  port, not the host libm's. (Spelling the expression out here would
+ *  let a toolchain that contracts by default fuse v + 0.044715 v^3;
+ *  the reference is compiled with -ffp-contract=off.) */
 float
 geluOracle(float v)
 {
-    constexpr float kAlpha = 0.7978845608f; // sqrt(2/pi)
-    const float inner = kAlpha * (v + 0.044715f * v * v * v);
-    return 0.5f * v * (1.0f + std::tanh(inner));
+    return geluScalar(v);
 }
 
 Tensor

@@ -457,7 +457,11 @@ BM_Conv2d3x3(benchmark::State &state)
 }
 BENCHMARK(BM_Conv2d3x3)->Arg(16)->Arg(64);
 
-/** Args: channels, spatial side (256, 24: B2 stage-1 Mix-FFN at 96²). */
+/**
+ * Args: channels, spatial side. The Mix-FFN DWConv shapes of B2 at 96²
+ * (256@24² is stage 0, then 512@12², 1280@6², 2048@3²) and of the soak
+ * model's stage 0 (32@16²).
+ */
 void
 BM_Conv2dDepthwise(benchmark::State &state)
 {
@@ -472,7 +476,43 @@ BM_Conv2dDepthwise(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(conv2d(x, w, Tensor{}, p).numel());
 }
-BENCHMARK(BM_Conv2dDepthwise)->Args({128, 32})->Args({256, 24});
+BENCHMARK(BM_Conv2dDepthwise)
+    ->Args({128, 32})
+    ->Args({256, 24})
+    ->Args({512, 12})
+    ->Args({1280, 6})
+    ->Args({2048, 3})
+    ->Args({32, 16});
+
+/**
+ * Args: input channels, output channels, input side, kernel, stride,
+ * pad. The soak model's convs too small for the GEMM path, which run
+ * the direct loop: the attention reduction convs (sr_conv) of stages
+ * 0-2 and the stage-3 patch embed.
+ */
+void
+BM_Conv2dDirect(benchmark::State &state)
+{
+    Rng rng(9);
+    const int64_t c = state.range(0);
+    const int64_t k = state.range(1);
+    const int64_t side = state.range(2);
+    const int64_t kernel = state.range(3);
+    Tensor x = Tensor::randn({1, c, side, side}, rng);
+    Tensor w = Tensor::randn({k, c, kernel, kernel}, rng);
+    Tensor b = Tensor::randn({k}, rng);
+    Conv2dParams p;
+    p.strideH = p.strideW = state.range(4);
+    p.padH = p.padW = state.range(5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            conv2d(x, w, b, p, Conv2dAlgo::Direct).numel());
+}
+BENCHMARK(BM_Conv2dDirect)
+    ->Args({8, 8, 16, 8, 8, 0})
+    ->Args({16, 16, 8, 4, 4, 0})
+    ->Args({24, 24, 4, 2, 2, 0})
+    ->Args({24, 32, 4, 3, 2, 1});
 
 void
 BM_Conv2dInt8(benchmark::State &state)
@@ -536,8 +576,11 @@ BM_LayerNorm(benchmark::State &state)
 }
 BENCHMARK(BM_LayerNorm);
 
-/** Args: channels, input side, output side (150, 24, 96: B2's
- *  FinalUpsample at 96²). */
+/**
+ * Args: channels, input side, output side. B2's FinalUpsample at 96²
+ * (150, 24, 96), its decoder upsamples of the stage 1 and 3 maps to
+ * 24² (768, 12 and 3, 24), and a soak-model-sized resize (8, 16, 64).
+ */
 void
 BM_Interpolate(benchmark::State &state)
 {
@@ -549,7 +592,12 @@ BM_Interpolate(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(interpolateBilinear(x, out, out).numel());
 }
-BENCHMARK(BM_Interpolate)->Args({32, 32, 128})->Args({150, 24, 96});
+BENCHMARK(BM_Interpolate)
+    ->Args({32, 32, 128})
+    ->Args({150, 24, 96})
+    ->Args({768, 12, 24})
+    ->Args({768, 3, 24})
+    ->Args({8, 16, 64});
 
 /** B2 stage-1 Mix-FFN hidden activation: 576 tokens x 256 channels. */
 void

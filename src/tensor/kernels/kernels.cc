@@ -11,9 +11,11 @@
 
 #include "tensor/kernels/kernels.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "tensor/kernels/tanh_lanes.hh"
 #include "util/logging.hh"
@@ -89,6 +91,114 @@ geluScalarSpan(const float *x, float *y, int64_t n)
         y[i] = lanes::geluLanes(x[i]);
 }
 
+namespace
+{
+
+/**
+ * y[j] += x[j] * a. An output row and an input row never overlap, and
+ * saying so (__restrict) lets the compiler vectorize the short rows
+ * without the aliasing check axpyScalar needs.
+ */
+inline void
+addScaledRow(const float *__restrict x, float a, float *__restrict y,
+             int64_t n)
+{
+    for (int64_t j = 0; j < n; ++j)
+        y[j] += x[j] * a;
+}
+
+} // namespace
+
+void
+depthwiseScalar(const DepthwiseGeom &g, const float *in, int64_t in_stride,
+                const float *wk, const float *bias, float *out,
+                int64_t planes)
+{
+    // Row at a time: each output row starts at the bias, then every
+    // in-range tap (r, then s, ascending) adds its input span times
+    // the tap weight to the output columns whose tap lands inside the
+    // input. Per element, that is the direct loop's order with the
+    // padded taps skipped.
+    const int64_t sw = g.strideW;
+    // Output columns oq in [first[ss], last[ss]) read input column
+    // oq * sw + ss - padW, which lies in [0, w). Hoisted out of the
+    // row loop: two integer divisions per (row, tap) cost more than
+    // the short rows' adds.
+    std::vector<int64_t> first(static_cast<size_t>(g.s));
+    std::vector<int64_t> last(static_cast<size_t>(g.s));
+    for (int64_t ss = 0; ss < g.s; ++ss) {
+        const int64_t off = ss - g.padW;
+        first[ss] = off >= 0 ? 0 : (sw - 1 - off) / sw;
+        last[ss] = off < g.w ? std::min(g.q, (g.w - 1 - off) / sw + 1) : 0;
+    }
+    for (int64_t u = 0; u < planes; ++u) {
+        const float *plane = in + u * in_stride;
+        const float *taps = wk + u * g.r * g.s;
+        float *dst = out + u * g.p * g.q;
+        const float b = bias ? bias[u] : 0.0f;
+        for (int64_t op = 0; op < g.p; ++op) {
+            float *orow = dst + op * g.q;
+            for (int64_t oq = 0; oq < g.q; ++oq)
+                orow[oq] = b;
+            const int64_t ih0 = op * g.strideH - g.padH;
+            for (int64_t rr = 0; rr < g.r; ++rr) {
+                const int64_t ih = ih0 + rr;
+                if (ih < 0 || ih >= g.h)
+                    continue;
+                const float *irow = plane + ih * g.w;
+                for (int64_t ss = 0; ss < g.s; ++ss) {
+                    const int64_t off = ss - g.padW;
+                    const int64_t q0 = first[ss];
+                    const int64_t q1 = last[ss];
+                    const float wv = taps[rr * g.s + ss];
+                    if (sw == 1) {
+                        addScaledRow(irow + q0 + off, wv, orow + q0,
+                                     q1 - q0);
+                    } else {
+                        for (int64_t oq = q0; oq < q1; ++oq)
+                            orow[oq] += irow[oq * sw + off] * wv;
+                    }
+                }
+            }
+        }
+    }
+}
+
+void
+bilinearScalar(const BilinearTaps &t, const float *in, float *out,
+               int64_t planes)
+{
+    // Each output row first multiplies its two source rows by their
+    // row weights: a0[c] = row0[c] * (1 - fh) and a1[c] = row1[c] * fh
+    // are the expression's own first products, so reading them back
+    // keeps every bit and spares two multiplies per output.
+    std::vector<float> a0(static_cast<size_t>(t.w));
+    std::vector<float> a1(static_cast<size_t>(t.w));
+    for (int64_t u = 0; u < planes; ++u) {
+        const float *plane = in + u * t.h * t.w;
+        float *dst = out + u * t.outH * t.outW;
+        for (int64_t i = 0; i < t.outH; ++i) {
+            const float *row0 = plane + t.row0[i] * t.w;
+            const float *row1 = plane + t.row1[i] * t.w;
+            const float gh0 = t.rowW0[i];
+            const float gh1 = t.rowW1[i];
+            for (int64_t c = 0; c < t.w; ++c) {
+                a0[c] = row0[c] * gh0;
+                a1[c] = row1[c] * gh1;
+            }
+            float *orow = dst + i * t.outW;
+            for (int64_t j = 0; j < t.outW; ++j) {
+                const int32_t c0 = t.col0[j];
+                const int32_t c1 = t.col1[j];
+                const float gw0 = t.colW0[j];
+                const float gw1 = t.colW1[j];
+                orow[j] = a0[c0] * gw0 + a0[c1] * gw1 + a1[c0] * gw0 +
+                          a1[c1] * gw1;
+            }
+        }
+    }
+}
+
 } // namespace kernels
 
 float
@@ -114,6 +224,8 @@ const Microkernels kScalarKernels = {
     kernels::quantizeScalar,
     kernels::dequantizeScalar,
     kernels::geluScalarSpan,
+    kernels::depthwiseScalar,
+    kernels::bilinearScalar,
 };
 
 } // namespace

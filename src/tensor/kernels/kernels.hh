@@ -19,6 +19,17 @@
  * tanhf once as a template over a lane type, so every SIMD lane runs
  * the scalar reference's exact sequence of IEEE operations.
  *
+ * The depthwise conv (depthwiseF32) and the bilinear resize
+ * (bilinearF32) vectorize across output elements too. Depthwise lanes
+ * run over a flattened output plane, with several planes in flight;
+ * a tap that falls outside the input is masked out of both the load
+ * and the add, so a lane adds nothing for it (not +0) and -0.0 sums,
+ * Inf and NaN keep their bits. Bilinear lanes run over output columns
+ * and pick their four source taps with in-register permutes (gathers
+ * on rows too wide for a register pair), after multiplying each source
+ * row once by its row weight: that product is the reference
+ * expression's own first rounding, so the sum keeps every bit.
+ *
  * The GEMM tile accumulates into `out` (it reads the partial sums the
  * previous call left there), so the GEMM driver (tensor/gemm.hh) can
  * split the accumulation axis into chunks and park each element's
@@ -76,6 +87,33 @@ using GemmTileFn = void (*)(const float *w, int64_t ldw, const float *col,
                             int64_t kb, int64_t jb, int64_t len);
 
 /**
+ * Geometry of a depthwise conv: an h x w input plane, an r x s kernel,
+ * strides and pads, and the p x q output plane they give.
+ */
+struct DepthwiseGeom
+{
+    int64_t h, w, r, s;
+    int64_t strideH, strideW, padH, padW;
+    int64_t p, q;
+};
+
+/**
+ * Per-call tap tables of a bilinear resize from an h x w plane to
+ * outH x outW. Output row i reads source rows row0[i] and row1[i] with
+ * weights rowW0[i] = 1 - fh and rowW1[i] = fh; output column j reads
+ * source columns col0[j] and col1[j] with weights colW0[j] = 1 - fw
+ * and colW1[j] = fw.
+ */
+struct BilinearTaps
+{
+    int64_t h, w, outH, outW;
+    const int32_t *row0, *row1;
+    const float *rowW0, *rowW1;
+    const int32_t *col0, *col1;
+    const float *colW0, *colW1;
+};
+
+/**
  * One ISA's microkernel set. All pointers are always non-null: an ISA
  * that is compiled out or unsupported on this CPU falls back to the
  * scalar implementation per entry.
@@ -130,7 +168,50 @@ struct Microkernels
      * tail to geluScalar(), so every ISA is memcmp-identical to it.
      */
     void (*geluF32)(const float *x, float *y, int64_t n);
+
+    /**
+     * Depthwise conv of @p planes plane pairs: plane u reads its input
+     * at in + u * in_stride (in_stride 0 shares one input plane), its
+     * r*s taps at wk + u*r*s, and writes p*q outputs at out + u*p*q.
+     * Each output starts at bias[u] (+0 when @p bias is null) and, for
+     * r ascending then s ascending, adds input * tap, mul then add, for
+     * every tap that lands inside the input; a padded tap adds nothing.
+     * That is the direct conv loop's per-element sequence, so every
+     * ISA is memcmp-identical to depthwiseScalar().
+     */
+    void (*depthwiseF32)(const DepthwiseGeom &g, const float *in,
+                         int64_t in_stride, const float *wk,
+                         const float *bias, float *out, int64_t planes);
+
+    /**
+     * Bilinear resize of @p planes consecutive h x w planes at @p in
+     * into outH x outW planes at @p out. Output (i, j) is
+     *   v00 * rowW0[i] * colW0[j] + v01 * rowW0[i] * colW1[j]
+     *     + v10 * rowW1[i] * colW0[j] + v11 * rowW1[i] * colW1[j]
+     * evaluated left to right, with v00 at source (row0[i], col0[j]),
+     * v01 at (row0[i], col1[j]), v10 at (row1[i], col0[j]) and v11 at
+     * (row1[i], col1[j]): the per-element expression
+     * interpolateBilinear was written as, so every ISA is
+     * memcmp-identical to bilinearScalar().
+     */
+    void (*bilinearF32)(const BilinearTaps &t, const float *in, float *out,
+                        int64_t planes);
 };
+
+namespace kernels
+{
+
+/** Scalar reference of Microkernels::depthwiseF32; the SIMD sets run
+ *  it for geometries their vector body does not take. */
+void depthwiseScalar(const DepthwiseGeom &g, const float *in,
+                     int64_t in_stride, const float *wk, const float *bias,
+                     float *out, int64_t planes);
+
+/** Scalar reference of Microkernels::bilinearF32. */
+void bilinearScalar(const BilinearTaps &t, const float *in, float *out,
+                    int64_t planes);
+
+} // namespace kernels
 
 /**
  * tanh of one float: fdlibm's tanhf, ported in tanh_lanes.hh, so its

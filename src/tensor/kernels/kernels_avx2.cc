@@ -14,7 +14,10 @@
  * (the j/column axis); each element's accumulation starts from its
  * value in `out` and still walks l in ascending order, so results are
  * memcmp-identical to kernels::gemmTileScalar for any blocking. GELU
- * runs tanh_lanes.hh's fdlibm port on 8 lanes (the lane types below).
+ * runs tanh_lanes.hh's fdlibm port on 8 lanes (the lane types below);
+ * the depthwise conv and the bilinear resize vectorize across output
+ * elements with masked taps and permuted taps (kernels.hh says why
+ * each is exact).
  */
 
 #if defined(VITDYN_HAVE_KERNELS_AVX2)
@@ -22,7 +25,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <type_traits>
 
 #include "tensor/kernels/kernels.hh"
 #include "tensor/kernels/tanh_lanes.hh"
@@ -366,9 +371,237 @@ geluAvx2(const float *x, float *y, int64_t n)
     lanes::geluSpan<F32x8>(x, y, n);
 }
 
+/** Lanes [0, n) of an 8-lane mask vector, any n. */
+inline __m256i
+lanes8(int64_t n)
+{
+    return _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int32_t>(std::min<int64_t>(n, 8))),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** Lane-wise unsigned a < b of biased operands (x ^ 0x80000000). */
+inline __m256i
+ltBiased(__m256i a, __m256i b)
+{
+    return _mm256_cmpgt_epi32(b, a);
+}
+
+/** Largest kernel side the depthwise vector body takes. */
+constexpr int64_t kDwMaxSide = 16;
+
+/**
+ * U planes of a stride-1 depthwise conv whose output rows are as wide
+ * as its input rows (q == w), lanes over the flattened output plane;
+ * kernels_avx512.cc's depthwisePlanes spells out the tap tests. AVX2
+ * has no unsigned compare, so both tests compare operands biased by
+ * 2^31, and the masked add is a blend.
+ */
+template <int U>
+inline void
+depthwisePlanes(const DepthwiseGeom &g, const float *in, int64_t in_stride,
+                const float *wk, const float *bias, float *out,
+                __m256i col0)
+{
+    const int64_t pq = g.p * g.q;
+    const int64_t taps = g.r * g.s;
+    const __m256i sign = _mm256_set1_epi32(INT32_MIN);
+    const __m256i hw = _mm256_xor_si256(
+        _mm256_set1_epi32(static_cast<int32_t>(g.h * g.w)), sign);
+    const __m256i width = _mm256_set1_epi32(static_cast<int32_t>(g.w));
+    const __m256i width_b = _mm256_xor_si256(width, sign);
+    const __m256i step = _mm256_set1_epi32(static_cast<int32_t>(8 % g.w));
+    // Biased lane index: lane l holds (i + l) ^ 2^31.
+    __m256i idx = _mm256_xor_si256(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                                   sign);
+    __m256i col = col0;
+    for (int64_t i = 0; i < pq; i += 8) {
+        const __m256i col_b = _mm256_xor_si256(col, sign);
+        __m256i rows[kDwMaxSide];
+        __m256i cols[kDwMaxSide];
+        for (int64_t rr = 0; rr < g.r; ++rr)
+            rows[rr] = ltBiased(
+                _mm256_add_epi32(idx, _mm256_set1_epi32(static_cast<int32_t>(
+                                          (rr - g.padH) * g.w))),
+                hw);
+        for (int64_t ss = 0; ss < g.s; ++ss)
+            cols[ss] = ltBiased(
+                _mm256_add_epi32(col_b, _mm256_set1_epi32(
+                                            static_cast<int32_t>(ss - g.padW))),
+                width_b);
+        __m256 acc[U];
+#pragma GCC unroll 8
+        for (int u = 0; u < U; ++u)
+            acc[u] = _mm256_set1_ps(bias ? bias[u] : 0.0f);
+        for (int64_t rr = 0; rr < g.r; ++rr) {
+            if (_mm256_testz_si256(rows[rr], rows[rr]))
+                continue;
+            for (int64_t ss = 0; ss < g.s; ++ss) {
+                const __m256i m = _mm256_and_si256(rows[rr], cols[ss]);
+                if (_mm256_testz_si256(m, m))
+                    continue;
+                const __m256 mf = _mm256_castsi256_ps(m);
+                const int64_t off = i + (rr - g.padH) * g.w + ss - g.padW;
+                const int64_t t = rr * g.s + ss;
+#pragma GCC unroll 8
+                for (int u = 0; u < U; ++u) {
+                    const __m256 x =
+                        _mm256_maskload_ps(in + u * in_stride + off, m);
+                    const __m256 sum = _mm256_add_ps(
+                        acc[u],
+                        _mm256_mul_ps(x, _mm256_set1_ps(wk[u * taps + t])));
+                    acc[u] = _mm256_blendv_ps(acc[u], sum, mf);
+                }
+            }
+        }
+        const __m256i live = lanes8(pq - i);
+#pragma GCC unroll 8
+        for (int u = 0; u < U; ++u)
+            _mm256_maskstore_ps(out + u * pq + i, live, acc[u]);
+        idx = _mm256_add_epi32(idx, _mm256_set1_epi32(8));
+        // Advance each lane's column by 8 (mod w): one subtraction
+        // suffices since 8 % w and the column are both below w.
+        col = _mm256_add_epi32(col, step);
+        col = _mm256_sub_epi32(
+            col, _mm256_andnot_si256(_mm256_cmpgt_epi32(width, col), width));
+    }
+}
+
+void
+depthwiseAvx2(const DepthwiseGeom &g, const float *in, int64_t in_stride,
+              const float *wk, const float *bias, float *out, int64_t planes)
+{
+    if (g.strideH != 1 || g.strideW != 1 || g.q != g.w ||
+        g.r > kDwMaxSide || g.s > kDwMaxSide ||
+        g.h * g.w > (int64_t{1} << 30)) {
+        kernels::depthwiseScalar(g, in, in_stride, wk, bias, out, planes);
+        return;
+    }
+    alignas(32) int32_t first[8];
+    for (int lane = 0; lane < 8; ++lane)
+        first[lane] = static_cast<int32_t>(lane % g.w);
+    const __m256i col0 =
+        _mm256_load_si256(reinterpret_cast<const __m256i *>(first));
+    const int64_t taps = g.r * g.s;
+    const int64_t pq = g.p * g.q;
+    // Eight planes in flight; the 1-7 plane rest runs as 4 + 2 + 1.
+    const auto run = [&](auto planes_in_flight, int64_t u) {
+        constexpr int kU = decltype(planes_in_flight)::value;
+        depthwisePlanes<kU>(g, in + u * in_stride, in_stride,
+                            wk + u * taps, bias ? bias + u : nullptr,
+                            out + u * pq, col0);
+    };
+    int64_t u = 0;
+    for (; u + 8 <= planes; u += 8)
+        run(std::integral_constant<int, 8>{}, u);
+    if (u + 4 <= planes) {
+        run(std::integral_constant<int, 4>{}, u);
+        u += 4;
+    }
+    if (u + 2 <= planes) {
+        run(std::integral_constant<int, 2>{}, u);
+        u += 2;
+    }
+    if (u < planes)
+        run(std::integral_constant<int, 1>{}, u);
+}
+
+/**
+ * Lane l of the N-register source row @p a at column idx[l] < 8 * N:
+ * permute each register by the column's low three bits and, for
+ * N = 2, blend by its bit 3.
+ */
+template <int N>
+inline __m256
+pickColumn(const __m256 *a, __m256i idx)
+{
+    if constexpr (N == 1)
+        return _mm256_permutevar8x32_ps(a[0], idx);
+    else
+        return _mm256_blendv_ps(
+            _mm256_permutevar8x32_ps(a[0], idx),
+            _mm256_permutevar8x32_ps(a[1], idx),
+            _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28)));
+}
+
+/**
+ * Bilinear resize, lanes over output columns. Source rows of at most
+ * 8 or 16 columns sit in N = 1 or 2 registers after their multiply by
+ * the row weight, and pickColumn selects each lane's taps; wider rows
+ * (N = 0) gather theirs and multiply them there. Four registers and
+ * two blend levels for rows up to 32 columns measured no faster than
+ * the gathers. Either way a lane's products and sums are the
+ * reference expression's, in order.
+ */
+template <int N>
+void
+bilinearRows(const BilinearTaps &t, const float *in, float *out,
+             int64_t planes)
+{
+    __m256i row_lanes[N > 0 ? N : 1];
+    for (int k = 0; k < N; ++k)
+        row_lanes[k] = lanes8(t.w - 8 * k);
+    for (int64_t u = 0; u < planes; ++u) {
+        const float *plane = in + u * t.h * t.w;
+        float *dst = out + u * t.outH * t.outW;
+        for (int64_t i = 0; i < t.outH; ++i) {
+            const float *row0 = plane + t.row0[i] * t.w;
+            const float *row1 = plane + t.row1[i] * t.w;
+            const __m256 gh0 = _mm256_set1_ps(t.rowW0[i]);
+            const __m256 gh1 = _mm256_set1_ps(t.rowW1[i]);
+            __m256 a0[N > 0 ? N : 1];
+            __m256 a1[N > 0 ? N : 1];
+            for (int k = 0; k < N; ++k) {
+                a0[k] = _mm256_mul_ps(
+                    _mm256_maskload_ps(row0 + 8 * k, row_lanes[k]), gh0);
+                a1[k] = _mm256_mul_ps(
+                    _mm256_maskload_ps(row1 + 8 * k, row_lanes[k]), gh1);
+            }
+            float *orow = dst + i * t.outW;
+            for (int64_t j = 0; j < t.outW; j += 8) {
+                const __m256i live = lanes8(t.outW - j);
+                const __m256i c0 = _mm256_maskload_epi32(t.col0 + j, live);
+                const __m256i c1 = _mm256_maskload_epi32(t.col1 + j, live);
+                const __m256 gw0 = _mm256_maskload_ps(t.colW0 + j, live);
+                const __m256 gw1 = _mm256_maskload_ps(t.colW1 + j, live);
+                __m256 v00, v01, v10, v11;
+                if constexpr (N > 0) {
+                    v00 = pickColumn<N>(a0, c0);
+                    v01 = pickColumn<N>(a0, c1);
+                    v10 = pickColumn<N>(a1, c0);
+                    v11 = pickColumn<N>(a1, c1);
+                } else {
+                    v00 = _mm256_mul_ps(_mm256_i32gather_ps(row0, c0, 4), gh0);
+                    v01 = _mm256_mul_ps(_mm256_i32gather_ps(row0, c1, 4), gh0);
+                    v10 = _mm256_mul_ps(_mm256_i32gather_ps(row1, c0, 4), gh1);
+                    v11 = _mm256_mul_ps(_mm256_i32gather_ps(row1, c1, 4), gh1);
+                }
+                __m256 v = _mm256_mul_ps(v00, gw0);
+                v = _mm256_add_ps(v, _mm256_mul_ps(v01, gw1));
+                v = _mm256_add_ps(v, _mm256_mul_ps(v10, gw0));
+                v = _mm256_add_ps(v, _mm256_mul_ps(v11, gw1));
+                _mm256_maskstore_ps(orow + j, live, v);
+            }
+        }
+    }
+}
+
+void
+bilinearAvx2(const BilinearTaps &t, const float *in, float *out,
+             int64_t planes)
+{
+    if (t.w <= 8)
+        bilinearRows<1>(t, in, out, planes);
+    else if (t.w <= 16)
+        bilinearRows<2>(t, in, out, planes);
+    else
+        bilinearRows<0>(t, in, out, planes);
+}
+
 const Microkernels kAvx2Kernels = {
-    IsaLevel::Avx2, gemmTileExactAvx2, axpyAvx2, dotS8Avx2,
-    quantizeAvx2,   dequantizeAvx2,    geluAvx2,
+    IsaLevel::Avx2,  gemmTileExactAvx2, axpyAvx2,       dotS8Avx2,
+    quantizeAvx2,    dequantizeAvx2,    geluAvx2,       depthwiseAvx2,
+    bilinearAvx2,
 };
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX-512F GEMM tile.
+ * AVX-512F GEMM tile, GELU, depthwise conv and bilinear resize.
  *
  * This translation unit is compiled with -mavx512f -ffp-contract=off
  * (see src/CMakeLists.txt). -mavx512f implies FMA, so
@@ -12,10 +12,11 @@
  * As in kernels_avx2.cc, vectorization is across independent output
  * columns; each element starts from its value in `out` and walks l in
  * ascending order, so results are memcmp-identical to
- * kernels::gemmTileScalar for any blocking. The GEMM tile and GELU
- * (tanh_lanes.hh's fdlibm port on 16 lanes) have AVX-512 bodies: the
- * other entries (axpy, int8 dot, quantize) are off the hot path and
- * reuse the AVX2 kernels.
+ * kernels::gemmTileScalar for any blocking. The GEMM tile, GELU
+ * (tanh_lanes.hh's fdlibm port on 16 lanes), the depthwise conv
+ * (masked taps over a flattened plane) and the bilinear resize (taps
+ * picked by permutes) have AVX-512 bodies: the other entries (axpy,
+ * int8 dot, quantize) are off the hot path and reuse the AVX2 kernels.
  */
 
 #if defined(VITDYN_HAVE_KERNELS_AVX512)
@@ -23,6 +24,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "tensor/kernels/kernels.hh"
 #include "tensor/kernels/tanh_lanes.hh"
@@ -273,6 +275,186 @@ geluAvx512(const float *x, float *y, int64_t n)
     lanes::geluSpan<F32x16>(x, y, n);
 }
 
+/** Largest kernel side the depthwise vector body takes. */
+constexpr int64_t kDwMaxSide = 16;
+
+/**
+ * U planes of a stride-1 depthwise conv whose output rows are as wide
+ * as its input rows (q == w), lanes over the flattened output plane.
+ * Output element i reads tap (rr, ss) at input element
+ * i + (rr - padH) * w + (ss - padW); the tap is inside the input when
+ * i + (rr - padH) * w lies in [0, h*w) (its row does) and column
+ * (i % w) + ss - padW lies in [0, w). Lanes failing either test load
+ * nothing and add nothing. @p col0 holds each lane's i % w at i = 0.
+ */
+template <int U>
+inline void
+depthwisePlanes(const DepthwiseGeom &g, const float *in, int64_t in_stride,
+                const float *wk, const float *bias, float *out,
+                __m512i col0)
+{
+    const int64_t pq = g.p * g.q;
+    const int64_t taps = g.r * g.s;
+    const __m512i hw = _mm512_set1_epi32(static_cast<int32_t>(g.h * g.w));
+    const __m512i width = _mm512_set1_epi32(static_cast<int32_t>(g.w));
+    const __m512i step = _mm512_set1_epi32(static_cast<int32_t>(16 % g.w));
+    const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                           10, 11, 12, 13, 14, 15);
+    __m512i col = col0;
+    for (int64_t i = 0; i < pq; i += 16) {
+        const __m512i idx =
+            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int32_t>(i)), iota);
+        __mmask16 rows[kDwMaxSide];
+        __mmask16 cols[kDwMaxSide];
+        for (int64_t rr = 0; rr < g.r; ++rr)
+            rows[rr] = _mm512_cmplt_epu32_mask(
+                _mm512_add_epi32(idx, _mm512_set1_epi32(static_cast<int32_t>(
+                                          (rr - g.padH) * g.w))),
+                hw);
+        for (int64_t ss = 0; ss < g.s; ++ss)
+            cols[ss] = _mm512_cmplt_epu32_mask(
+                _mm512_add_epi32(col, _mm512_set1_epi32(static_cast<int32_t>(
+                                          ss - g.padW))),
+                width);
+        __m512 acc[U];
+#pragma GCC unroll 8
+        for (int u = 0; u < U; ++u)
+            acc[u] = _mm512_set1_ps(bias ? bias[u] : 0.0f);
+        for (int64_t rr = 0; rr < g.r; ++rr) {
+            if (rows[rr] == 0)
+                continue;
+            for (int64_t ss = 0; ss < g.s; ++ss) {
+                const __mmask16 m = rows[rr] & cols[ss];
+                if (m == 0)
+                    continue;
+                const int64_t off = i + (rr - g.padH) * g.w + ss - g.padW;
+                const int64_t t = rr * g.s + ss;
+#pragma GCC unroll 8
+                for (int u = 0; u < U; ++u) {
+                    const __m512 x =
+                        _mm512_maskz_loadu_ps(m, in + u * in_stride + off);
+                    acc[u] = _mm512_mask_add_ps(
+                        acc[u], m, acc[u],
+                        _mm512_mul_ps(x, _mm512_set1_ps(wk[u * taps + t])));
+                }
+            }
+        }
+        const __mmask16 live = i + 16 <= pq ? 0xffff : lanes(pq - i);
+#pragma GCC unroll 8
+        for (int u = 0; u < U; ++u)
+            _mm512_mask_storeu_ps(out + u * pq + i, live, acc[u]);
+        // Advance each lane's column by 16 (mod w): one subtraction
+        // suffices since 16 % w and the column are both below w.
+        col = _mm512_add_epi32(col, step);
+        col = _mm512_mask_sub_epi32(
+            col, _mm512_cmpge_epi32_mask(col, width), col, width);
+    }
+}
+
+void
+depthwiseAvx512(const DepthwiseGeom &g, const float *in, int64_t in_stride,
+                const float *wk, const float *bias, float *out,
+                int64_t planes)
+{
+    if (g.strideH != 1 || g.strideW != 1 || g.q != g.w ||
+        g.r > kDwMaxSide || g.s > kDwMaxSide ||
+        g.h * g.w > (int64_t{1} << 30)) {
+        kernels::depthwiseScalar(g, in, in_stride, wk, bias, out, planes);
+        return;
+    }
+    alignas(64) int32_t first[16];
+    for (int lane = 0; lane < 16; ++lane)
+        first[lane] = static_cast<int32_t>(lane % g.w);
+    const __m512i col0 = _mm512_load_si512(first);
+    const int64_t taps = g.r * g.s;
+    const int64_t pq = g.p * g.q;
+    // Eight planes in flight keep eight independent add chains busy;
+    // the 1-7 plane rest runs as 4 + 2 + 1.
+    const auto run = [&](auto planes_in_flight, int64_t u) {
+        constexpr int kU = decltype(planes_in_flight)::value;
+        depthwisePlanes<kU>(g, in + u * in_stride, in_stride,
+                            wk + u * taps, bias ? bias + u : nullptr,
+                            out + u * pq, col0);
+    };
+    int64_t u = 0;
+    for (; u + 8 <= planes; u += 8)
+        run(std::integral_constant<int, 8>{}, u);
+    if (u + 4 <= planes) {
+        run(std::integral_constant<int, 4>{}, u);
+        u += 4;
+    }
+    if (u + 2 <= planes) {
+        run(std::integral_constant<int, 2>{}, u);
+        u += 2;
+    }
+    if (u < planes)
+        run(std::integral_constant<int, 1>{}, u);
+}
+
+/**
+ * Bilinear resize, lanes over output columns. A source row of at most
+ * 32 columns sits in a register pair after its multiply by the row
+ * weight, and _mm512_permutex2var_ps picks each lane's tap from it;
+ * wider rows gather their taps and multiply them there. Either way a
+ * lane's products and sums are the reference expression's, in order.
+ */
+void
+bilinearAvx512(const BilinearTaps &t, const float *in, float *out,
+               int64_t planes)
+{
+    const bool pair = t.w <= 32;
+    const __mmask16 lo = lanes(std::min<int64_t>(t.w, 16));
+    const __mmask16 hi = t.w > 16 ? lanes(std::min<int64_t>(t.w - 16, 16))
+                                  : 0;
+    for (int64_t u = 0; u < planes; ++u) {
+        const float *plane = in + u * t.h * t.w;
+        float *dst = out + u * t.outH * t.outW;
+        for (int64_t i = 0; i < t.outH; ++i) {
+            const float *row0 = plane + t.row0[i] * t.w;
+            const float *row1 = plane + t.row1[i] * t.w;
+            const __m512 gh0 = _mm512_set1_ps(t.rowW0[i]);
+            const __m512 gh1 = _mm512_set1_ps(t.rowW1[i]);
+            __m512 a0l = _mm512_setzero_ps(), a0h = a0l, a1l = a0l, a1h = a0l;
+            if (pair) {
+                a0l = _mm512_mul_ps(_mm512_maskz_loadu_ps(lo, row0), gh0);
+                a0h = _mm512_mul_ps(_mm512_maskz_loadu_ps(hi, row0 + 16), gh0);
+                a1l = _mm512_mul_ps(_mm512_maskz_loadu_ps(lo, row1), gh1);
+                a1h = _mm512_mul_ps(_mm512_maskz_loadu_ps(hi, row1 + 16), gh1);
+            }
+            float *orow = dst + i * t.outW;
+            for (int64_t j = 0; j < t.outW; j += 16) {
+                const __mmask16 live =
+                    j + 16 <= t.outW ? 0xffff : lanes(t.outW - j);
+                const __m512i c0 = _mm512_maskz_loadu_epi32(live, t.col0 + j);
+                const __m512i c1 = _mm512_maskz_loadu_epi32(live, t.col1 + j);
+                const __m512 gw0 = _mm512_maskz_loadu_ps(live, t.colW0 + j);
+                const __m512 gw1 = _mm512_maskz_loadu_ps(live, t.colW1 + j);
+                __m512 v00, v01, v10, v11;
+                if (pair) {
+                    v00 = _mm512_permutex2var_ps(a0l, c0, a0h);
+                    v01 = _mm512_permutex2var_ps(a0l, c1, a0h);
+                    v10 = _mm512_permutex2var_ps(a1l, c0, a1h);
+                    v11 = _mm512_permutex2var_ps(a1l, c1, a1h);
+                } else {
+                    const auto tap = [live](__m512i c, const float *row) {
+                        return _mm512_mask_i32gather_ps(
+                            _mm512_setzero_ps(), live, c, row, 4);
+                    };
+                    v00 = _mm512_mul_ps(tap(c0, row0), gh0);
+                    v01 = _mm512_mul_ps(tap(c1, row0), gh0);
+                    v10 = _mm512_mul_ps(tap(c0, row1), gh1);
+                    v11 = _mm512_mul_ps(tap(c1, row1), gh1);
+                }
+                __m512 v = _mm512_mul_ps(v00, gw0);
+                v = _mm512_add_ps(v, _mm512_mul_ps(v01, gw1));
+                v = _mm512_add_ps(v, _mm512_mul_ps(v10, gw0));
+                v = _mm512_add_ps(v, _mm512_mul_ps(v11, gw1));
+                _mm512_mask_storeu_ps(orow + j, live, v);
+            }
+        }
+    }
+}
+
 } // namespace
 
 const Microkernels &
@@ -283,6 +465,8 @@ avx512Microkernels()
         mk.isa = IsaLevel::Avx512;
         mk.gemmTileExact = gemmTileExactAvx512;
         mk.geluF32 = geluAvx512;
+        mk.depthwiseF32 = depthwiseAvx512;
+        mk.bilinearF32 = bilinearAvx512;
         return mk;
     }();
     return kernels;

@@ -278,6 +278,8 @@ geluNeon(const float *x, float *y, int64_t n)
 const Microkernels kNeonKernels = {
     IsaLevel::Neon, gemmTileExactNeon, axpyNeon, dotS8Neon,
     quantizeNeon,   dequantizeNeon,    geluNeon,
+    // Depthwise conv and bilinear resize have no NEON bodies yet.
+    kernels::depthwiseScalar, kernels::bilinearScalar,
 };
 
 } // namespace

@@ -278,6 +278,10 @@ void convEpilogueInPlace(Tensor &x, const float *scale,
 Tensor interpolateBilinear(const Tensor &input, int64_t out_h,
                            int64_t out_w);
 
+/** interpolateBilinear on an explicit microkernel set (parity tests). */
+Tensor interpolateBilinear(const Tensor &input, int64_t out_h,
+                           int64_t out_w, const Microkernels &mk);
+
 /** 2x2 (or general) max pooling with stride == kernel. */
 Tensor maxPool2d(const Tensor &input, int64_t kernel, int64_t stride,
                  int64_t pad = 0);

@@ -28,15 +28,68 @@ namespace
 {
 
 /**
+ * U output channels of one image and one group, in flight together:
+ * each output element starts at its bias and accumulates
+ * input * weight over r, then s, then c ascending, skipping taps that
+ * fall outside the input. @p img is the group's first input channel,
+ * @p wk the first channel's (cg, r, s) weights, @p dst its output
+ * plane; channel u's weights and plane follow at u * cg*r*s and
+ * u * p*q. Raw pointers with hoisted strides, and U independent
+ * accumulation chains, instead of two indexed loads per multiply-add.
+ */
+template <int U>
+void
+directChannels(const float *img, const float *wk, const float *bias,
+               float *dst, int64_t h, int64_t w, int64_t cg, int64_t r,
+               int64_t s, int64_t p, int64_t q, const Conv2dParams &params)
+{
+    const int64_t hw = h * w;
+    const int64_t rs = r * s;
+    const int64_t wstride = cg * rs;
+    const int64_t pq = p * q;
+    for (int64_t op = 0; op < p; ++op) {
+        const int64_t ih0 = op * params.strideH - params.padH;
+        for (int64_t oq = 0; oq < q; ++oq) {
+            const int64_t iw0 = oq * params.strideW - params.padW;
+            float acc[U];
+            for (int u = 0; u < U; ++u)
+                acc[u] = bias ? bias[u] : 0.0f;
+            for (int64_t rr = 0; rr < r; ++rr) {
+                const int64_t ih = ih0 + rr;
+                if (ih < 0 || ih >= h)
+                    continue;
+                for (int64_t ss = 0; ss < s; ++ss) {
+                    const int64_t iw = iw0 + ss;
+                    if (iw < 0 || iw >= w)
+                        continue;
+                    const float *xp = img + ih * w + iw;
+                    const float *wp = wk + rr * s + ss;
+                    for (int64_t cc = 0; cc < cg; ++cc) {
+                        const float xv = xp[cc * hw];
+                        for (int u = 0; u < U; ++u)
+                            acc[u] += xv * wp[u * wstride + cc * rs];
+                    }
+                }
+            }
+            for (int u = 0; u < U; ++u)
+                dst[u * pq + op * q + oq] = acc[u];
+        }
+    }
+}
+
+/**
  * Direct loop-nest conv2d over the [nk_begin, nk_end) slice of the
- * flattened (n, k) output-image space. Shards write disjoint (n, k)
- * output planes, so any partitioning is bit-identical.
+ * flattened (n, k) output-image space, four output channels of one
+ * image and group at a time. Shards write disjoint (n, k) output
+ * planes, and each element's accumulation order is fixed, so any
+ * partitioning is bit-identical.
  */
 void
 conv2dDirectSlice(const Tensor &input, const Tensor &weight,
                   const Tensor &bias, const Conv2dParams &params,
                   Tensor &out, int64_t nk_begin, int64_t nk_end)
 {
+    const int64_t c = input.dim(1);
     const int64_t h = input.dim(2);
     const int64_t w = input.dim(3);
     const int64_t k = weight.dim(0);
@@ -47,33 +100,24 @@ conv2dDirectSlice(const Tensor &input, const Tensor &weight,
     const int64_t q = out.dim(3);
     const int64_t kpg = k / params.groups;
 
-    for (int64_t nk = nk_begin; nk < nk_end; ++nk) {
+    for (int64_t nk = nk_begin; nk < nk_end;) {
         const int64_t in_n = nk / k;
         const int64_t ok = nk % k;
         const int64_t g = ok / kpg;
-        const int64_t c_base = g * cg;
-        const float b = bias.numel() ? bias[ok] : 0.0f;
-        for (int64_t op = 0; op < p; ++op) {
-            const int64_t ih0 = op * params.strideH - params.padH;
-            for (int64_t oq = 0; oq < q; ++oq) {
-                const int64_t iw0 = oq * params.strideW - params.padW;
-                float acc = b;
-                for (int64_t rr = 0; rr < r; ++rr) {
-                    const int64_t ih = ih0 + rr;
-                    if (ih < 0 || ih >= h)
-                        continue;
-                    for (int64_t ss = 0; ss < s; ++ss) {
-                        const int64_t iw = iw0 + ss;
-                        if (iw < 0 || iw >= w)
-                            continue;
-                        for (int64_t cc = 0; cc < cg; ++cc) {
-                            acc += input.at4(in_n, c_base + cc, ih, iw) *
-                                   weight.at4(ok, cc, rr, ss);
-                        }
-                    }
-                }
-                out.at4(in_n, ok, op, oq) = acc;
-            }
+        const float *img = input.data() + (in_n * c + g * cg) * h * w;
+        const float *wk = weight.data() + ok * cg * r * s;
+        const float *b = bias.numel() ? bias.data() + ok : nullptr;
+        float *dst = out.data() + nk * p * q;
+        // Channels ok.. of the same image and group share the input.
+        const int64_t run = std::min(nk_end - nk, (g + 1) * kpg - ok);
+        if (run >= 4) {
+            directChannels<4>(img, wk, b, dst, h, w, cg, r, s, p, q,
+                              params);
+            nk += 4;
+        } else {
+            directChannels<1>(img, wk, b, dst, h, w, cg, r, s, p, q,
+                              params);
+            nk += 1;
         }
     }
 }
@@ -81,12 +125,14 @@ conv2dDirectSlice(const Tensor &input, const Tensor &weight,
 /**
  * Depthwise conv2d (cg == 1: one input channel per output channel, any
  * channel multiplier) over the [nk_begin, nk_end) slice of (n, k)
- * output planes. Each output row starts at the bias; then, for r
- * ascending and s ascending, it adds in * w over the output columns
- * whose tap lands inside the input. That is the direct loop's
- * per-element order with the padded taps skipped, so the result is
- * memcmp-identical to conv2dDirectSlice. Stride-1 spans run on the
- * exact axpyF32 microkernel.
+ * output planes, on the exact depthwiseF32 microkernel: each output
+ * element starts at its bias and adds in * w for r ascending, then s
+ * ascending, over the taps inside the input. That is the direct
+ * loop's per-element order with the padded taps skipped, so the
+ * result is memcmp-identical to conv2dDirectSlice. Consecutive planes
+ * go to the kernel in one call while their input planes are evenly
+ * spaced: across one image's channels without a multiplier, and
+ * across the kpg outputs that share one input plane with one.
  */
 void
 conv2dDepthwiseSlice(const Tensor &input, const Tensor &weight,
@@ -103,42 +149,20 @@ conv2dDepthwiseSlice(const Tensor &input, const Tensor &weight,
     const int64_t p = out.dim(2);
     const int64_t q = out.dim(3);
     const int64_t kpg = k / params.groups;
-    const int64_t sw = params.strideW;
+    const DepthwiseGeom geom{h, w, r, s, params.strideH, params.strideW,
+                             params.padH, params.padW, p, q};
 
-    for (int64_t nk = nk_begin; nk < nk_end; ++nk) {
+    for (int64_t nk = nk_begin; nk < nk_end;) {
         const int64_t ok = nk % k;
-        const float *plane = input.data() + ((nk / k) * c + ok / kpg) * h * w;
-        const float *wk = weight.data() + ok * r * s;
-        float *dst = out.data() + nk * p * q;
-        const float b = bias.numel() ? bias[ok] : 0.0f;
-        for (int64_t op = 0; op < p; ++op) {
-            float *orow = dst + op * q;
-            std::fill(orow, orow + q, b);
-            const int64_t ih0 = op * params.strideH - params.padH;
-            for (int64_t rr = 0; rr < r; ++rr) {
-                const int64_t ih = ih0 + rr;
-                if (ih < 0 || ih >= h)
-                    continue;
-                const float *irow = plane + ih * w;
-                for (int64_t ss = 0; ss < s; ++ss) {
-                    // Output columns oq in [q0, q1) read input column
-                    // oq * sw + off, which lies in [0, w).
-                    const int64_t off = ss - params.padW;
-                    const int64_t q0 = off >= 0 ? 0 : (sw - 1 - off) / sw;
-                    const int64_t q1 =
-                        off < w ? std::min(q, (w - 1 - off) / sw + 1) : 0;
-                    if (q0 >= q1)
-                        continue;
-                    const float wv = wk[rr * s + ss];
-                    if (sw == 1) {
-                        mk.axpyF32(wv, irow + q0 + off, orow + q0, q1 - q0);
-                    } else {
-                        for (int64_t oq = q0; oq < q1; ++oq)
-                            orow[oq] += irow[oq * sw + off] * wv;
-                    }
-                }
-            }
-        }
+        const int64_t run =
+            kpg == 1 ? std::min(nk_end, nk - ok + k) - nk
+                     : std::min(nk_end - nk, kpg - ok % kpg);
+        mk.depthwiseF32(geom,
+                        input.data() + ((nk / k) * c + ok / kpg) * h * w,
+                        kpg == 1 ? h * w : 0, weight.data() + ok * r * s,
+                        bias.numel() ? bias.data() + ok : nullptr,
+                        out.data() + nk * p * q, run);
+        nk += run;
     }
 }
 
@@ -484,6 +508,13 @@ adaptiveAvgPool2d(const Tensor &input, int64_t out_h, int64_t out_w)
 Tensor
 interpolateBilinear(const Tensor &input, int64_t out_h, int64_t out_w)
 {
+    return interpolateBilinear(input, out_h, out_w, activeKernels());
+}
+
+Tensor
+interpolateBilinear(const Tensor &input, int64_t out_h, int64_t out_w,
+                    const Microkernels &mk)
+{
     vitdyn_assert(input.rank() == 4, "interpolate input must be NCHW");
     const int64_t n = input.dim(0);
     const int64_t c = input.dim(1);
@@ -496,53 +527,42 @@ interpolateBilinear(const Tensor &input, int64_t out_h, int64_t out_w)
     const float scale_w = static_cast<float>(w) / out_w;
 
     // Source taps and weights per output row and column, computed once
-    // per call with the per-element loop's expressions.
-    struct Tap
+    // per call with the per-element loop's expressions: the weights
+    // are 1 - f and f, as that loop's (1 - fh), fh, (1 - fw) and fw.
+    struct Taps
     {
-        int64_t i0, i1;
-        float f;
+        std::vector<int32_t> i0, i1;
+        std::vector<float> g0, g1;
     };
     const auto taps = [](int64_t out_len, int64_t in_len, float scale) {
-        std::vector<Tap> t(static_cast<size_t>(out_len));
+        Taps t;
         for (int64_t o = 0; o < out_len; ++o) {
             // align_corners = false source coordinate.
             float src = (o + 0.5f) * scale - 0.5f;
             src = std::max(
                 0.0f, std::min(src, static_cast<float>(in_len - 1)));
             const int64_t i0 = static_cast<int64_t>(src);
-            t[static_cast<size_t>(o)] = {
-                i0, std::min(i0 + 1, in_len - 1), src - i0};
+            const float f = src - i0;
+            t.i0.push_back(static_cast<int32_t>(i0));
+            t.i1.push_back(
+                static_cast<int32_t>(std::min(i0 + 1, in_len - 1)));
+            t.g0.push_back(1 - f);
+            t.g1.push_back(f);
         }
         return t;
     };
-    const std::vector<Tap> rows = taps(out_h, h, scale_h);
-    const std::vector<Tap> cols = taps(out_w, w, scale_w);
+    const Taps rows = taps(out_h, h, scale_h);
+    const Taps cols = taps(out_w, w, scale_w);
+    const BilinearTaps bt{h, w, out_h, out_w,
+                          rows.i0.data(), rows.i1.data(),
+                          rows.g0.data(), rows.g1.data(),
+                          cols.i0.data(), cols.i1.data(),
+                          cols.g0.data(), cols.g1.data()};
 
     parallelFor(0, n * c, grainForFlops(8 * out_h * out_w),
                 [&](int64_t nc0, int64_t nc1) {
-        for (int64_t nc = nc0; nc < nc1; ++nc) {
-            const float *plane = input.data() + nc * h * w;
-            float *dst = out.data() + nc * out_h * out_w;
-            for (int64_t op = 0; op < out_h; ++op) {
-                const Tap &th = rows[static_cast<size_t>(op)];
-                const float *row0 = plane + th.i0 * w;
-                const float *row1 = plane + th.i1 * w;
-                const float fh = th.f;
-                float *orow = dst + op * out_w;
-                for (int64_t oq = 0; oq < out_w; ++oq) {
-                    const Tap &tw = cols[static_cast<size_t>(oq)];
-                    const float fw = tw.f;
-                    const float v00 = row0[tw.i0];
-                    const float v01 = row0[tw.i1];
-                    const float v10 = row1[tw.i0];
-                    const float v11 = row1[tw.i1];
-                    orow[oq] =
-                        v00 * (1 - fh) * (1 - fw) +
-                        v01 * (1 - fh) * fw + v10 * fh * (1 - fw) +
-                        v11 * fh * fw;
-                }
-            }
-        }
+        mk.bilinearF32(bt, input.data() + nc0 * h * w,
+                       out.data() + nc0 * out_h * out_w, nc1 - nc0);
     });
     return out;
 }

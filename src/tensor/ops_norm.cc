@@ -19,31 +19,35 @@ softmax(const Tensor &input)
     const float *x = input.data();
     float *y = out.data();
 
-    for (int64_t r = 0; r < rows; ++r) {
-        const float *xr = x + r * c;
-        float *yr = y + r * c;
-        float max_v = xr[0];
-        for (int64_t i = 1; i < c; ++i)
-            max_v = std::max(max_v, xr[i]);
-        // Fully-masked row (every logit -inf, as attention masks
-        // produce): exp(-inf - -inf) is NaN and denom is 0. Define the
-        // result as uniform — the limit of softmax over equal logits —
-        // so masked rows stay finite instead of poisoning downstream.
-        if (std::isinf(max_v) && max_v < 0.0f) {
-            const float uniform = 1.0f / static_cast<float>(c);
+    // Rows are independent, so sharding them keeps every bit.
+    parallelFor(0, rows, grainForFlops(4 * c),
+                [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+            const float *xr = x + r * c;
+            float *yr = y + r * c;
+            float max_v = xr[0];
+            for (int64_t i = 1; i < c; ++i)
+                max_v = std::max(max_v, xr[i]);
+            // Fully-masked row (every logit -inf, as attention masks
+            // produce): exp(-inf - -inf) is NaN and denom is 0. Define the
+            // result as uniform — the limit of softmax over equal logits —
+            // so masked rows stay finite instead of poisoning downstream.
+            if (std::isinf(max_v) && max_v < 0.0f) {
+                const float uniform = 1.0f / static_cast<float>(c);
+                for (int64_t i = 0; i < c; ++i)
+                    yr[i] = uniform;
+                continue;
+            }
+            float denom = 0.0f;
+            for (int64_t i = 0; i < c; ++i) {
+                yr[i] = std::exp(xr[i] - max_v);
+                denom += yr[i];
+            }
+            const float inv = 1.0f / denom;
             for (int64_t i = 0; i < c; ++i)
-                yr[i] = uniform;
-            continue;
+                yr[i] *= inv;
         }
-        float denom = 0.0f;
-        for (int64_t i = 0; i < c; ++i) {
-            yr[i] = std::exp(xr[i] - max_v);
-            denom += yr[i];
-        }
-        const float inv = 1.0f / denom;
-        for (int64_t i = 0; i < c; ++i)
-            yr[i] *= inv;
-    }
+    });
     return out;
 }
 
@@ -60,25 +64,30 @@ layerNorm(const Tensor &input, const Tensor &gamma, const Tensor &beta,
     const float *x = input.data();
     float *y = out.data();
 
-    for (int64_t r = 0; r < rows; ++r) {
-        const float *xr = x + r * c;
-        float *yr = y + r * c;
-        double mean = 0.0;
-        for (int64_t i = 0; i < c; ++i)
-            mean += xr[i];
-        mean /= c;
-        double var = 0.0;
-        for (int64_t i = 0; i < c; ++i) {
-            const double d = xr[i] - mean;
-            var += d * d;
+    // Rows are independent (each keeps its own double accumulation),
+    // so sharding them keeps every bit.
+    parallelFor(0, rows, grainForFlops(8 * c),
+                [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+            const float *xr = x + r * c;
+            float *yr = y + r * c;
+            double mean = 0.0;
+            for (int64_t i = 0; i < c; ++i)
+                mean += xr[i];
+            mean /= c;
+            double var = 0.0;
+            for (int64_t i = 0; i < c; ++i) {
+                const double d = xr[i] - mean;
+                var += d * d;
+            }
+            var /= c;
+            const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+            for (int64_t i = 0; i < c; ++i) {
+                yr[i] = (xr[i] - static_cast<float>(mean)) * inv * gamma[i] +
+                        beta[i];
+            }
         }
-        var /= c;
-        const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-        for (int64_t i = 0; i < c; ++i) {
-            yr[i] = (xr[i] - static_cast<float>(mean)) * inv * gamma[i] +
-                    beta[i];
-        }
-    }
+    });
     return out;
 }
 
@@ -95,17 +104,20 @@ batchNorm(const Tensor &input, const Tensor &gamma, const Tensor &beta,
                   "batchNorm params must have size C=", c);
 
     Tensor out(input.shape());
-    for (int64_t nn = 0; nn < n; ++nn) {
-        for (int64_t cc = 0; cc < c; ++cc) {
+    // (n, c) planes are independent: sharding them keeps every bit.
+    parallelFor(0, n * c, grainForFlops(2 * hw),
+                [&](int64_t nc0, int64_t nc1) {
+        for (int64_t nc = nc0; nc < nc1; ++nc) {
+            const int64_t cc = nc % c;
             const float scale =
                 gamma[cc] / std::sqrt(var[cc] + eps);
             const float shift = beta[cc] - mean[cc] * scale;
-            const float *x = input.data() + (nn * c + cc) * hw;
-            float *y = out.data() + (nn * c + cc) * hw;
+            const float *x = input.data() + nc * hw;
+            float *y = out.data() + nc * hw;
             for (int64_t i = 0; i < hw; ++i)
                 y[i] = x[i] * scale + shift;
         }
-    }
+    });
     return out;
 }
 
@@ -121,15 +133,17 @@ batchNormInPlace(Tensor &x, const Tensor &gamma, const Tensor &beta,
                   mean.numel() == c && var.numel() == c,
                   "batchNorm params must have size C=", c);
 
-    for (int64_t nn = 0; nn < n; ++nn) {
-        for (int64_t cc = 0; cc < c; ++cc) {
+    parallelFor(0, n * c, grainForFlops(2 * hw),
+                [&](int64_t nc0, int64_t nc1) {
+        for (int64_t nc = nc0; nc < nc1; ++nc) {
+            const int64_t cc = nc % c;
             const float scale = gamma[cc] / std::sqrt(var[cc] + eps);
             const float shift = beta[cc] - mean[cc] * scale;
-            float *y = x.data() + (nn * c + cc) * hw;
+            float *y = x.data() + nc * hw;
             for (int64_t i = 0; i < hw; ++i)
                 y[i] = y[i] * scale + shift;
         }
-    }
+    });
 }
 
 void

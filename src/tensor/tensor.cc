@@ -80,42 +80,6 @@ Tensor::dim(int64_t d) const
     return shape_[d];
 }
 
-float &
-Tensor::at4(int64_t n, int64_t c, int64_t h, int64_t w)
-{
-    return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-
-float
-Tensor::at4(int64_t n, int64_t c, int64_t h, int64_t w) const
-{
-    return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-
-float &
-Tensor::at3(int64_t n, int64_t l, int64_t c)
-{
-    return data_[(n * shape_[1] + l) * shape_[2] + c];
-}
-
-float
-Tensor::at3(int64_t n, int64_t l, int64_t c) const
-{
-    return data_[(n * shape_[1] + l) * shape_[2] + c];
-}
-
-float &
-Tensor::at2(int64_t r, int64_t c)
-{
-    return data_[r * shape_[1] + c];
-}
-
-float
-Tensor::at2(int64_t r, int64_t c) const
-{
-    return data_[r * shape_[1] + c];
-}
-
 Tensor
 Tensor::reshaped(Shape new_shape) const
 {

@@ -69,17 +69,29 @@ class Tensor
     float &operator[](int64_t i) { return data_[i]; }
     float operator[](int64_t i) const { return data_[i]; }
 
-    /** Element accessor for rank-4 tensors (n, c, h, w). */
-    float &at4(int64_t n, int64_t c, int64_t h, int64_t w);
-    float at4(int64_t n, int64_t c, int64_t h, int64_t w) const;
-
-    /** Element accessor for rank-3 tensors (n, l, c). */
-    float &at3(int64_t n, int64_t l, int64_t c);
-    float at3(int64_t n, int64_t l, int64_t c) const;
-
-    /** Element accessor for rank-2 tensors (r, c). */
-    float &at2(int64_t r, int64_t c);
-    float at2(int64_t r, int64_t c) const;
+    /**
+     * Element accessors for rank-4 (n, c, h, w), rank-3 (n, l, c) and
+     * rank-2 (r, c) tensors. Inline, so an accessor loop pays no call
+     * per element.
+     */
+    float &at4(int64_t n, int64_t c, int64_t h, int64_t w)
+    {
+        return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
+    }
+    float at4(int64_t n, int64_t c, int64_t h, int64_t w) const
+    {
+        return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
+    }
+    float &at3(int64_t n, int64_t l, int64_t c)
+    {
+        return data_[(n * shape_[1] + l) * shape_[2] + c];
+    }
+    float at3(int64_t n, int64_t l, int64_t c) const
+    {
+        return data_[(n * shape_[1] + l) * shape_[2] + c];
+    }
+    float &at2(int64_t r, int64_t c) { return data_[r * shape_[1] + c]; }
+    float at2(int64_t r, int64_t c) const { return data_[r * shape_[1] + c]; }
 
     /**
      * Return a tensor with the same storage reinterpreted under a new

@@ -107,6 +107,9 @@ TEST(Isa, ScalarAlwaysAvailableAndDetectionConsistent)
         ASSERT_NE(mk.dotS8, nullptr);
         ASSERT_NE(mk.quantizeF32S8, nullptr);
         ASSERT_NE(mk.dequantizeS8F32, nullptr);
+        ASSERT_NE(mk.geluF32, nullptr);
+        ASSERT_NE(mk.depthwiseF32, nullptr);
+        ASSERT_NE(mk.bilinearF32, nullptr);
         if (!isaAvailable(isa)) {
             EXPECT_EQ(mk.isa, IsaLevel::Scalar);
         }

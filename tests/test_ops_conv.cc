@@ -557,28 +557,46 @@ struct DepthwiseCase
 // Kernels 1/3/5/7, strides 1 and 2, pads 0-3 (pad 3 on a 3x3 kernel
 // makes whole output rows and columns of padding), inputs narrower
 // than the kernel, a single output column, a channel multiplier, an
-// asymmetric kernel, batch n > 1, and a B2-like plane count that
-// shards at 4 threads.
-const DepthwiseCase kDepthwiseCases[] = {
-    {{1, 5, 6, 7}, 1, 1, 1, 1, 1, 0, 0, true},
-    {{2, 3, 9, 9}, 1, 1, 1, 2, 2, 1, 1, true},
-    {{2, 6, 11, 13}, 1, 3, 3, 1, 1, 1, 1, true},
-    {{1, 4, 12, 9}, 1, 3, 3, 2, 2, 1, 1, false},
-    {{1, 4, 5, 5}, 1, 3, 3, 1, 1, 0, 0, true},
-    {{1, 3, 7, 6}, 1, 3, 3, 1, 1, 3, 3, true},
-    {{1, 3, 10, 17}, 1, 5, 5, 1, 1, 2, 2, true},
-    {{1, 3, 10, 11}, 1, 5, 5, 2, 2, 3, 3, true},
-    {{1, 2, 14, 9}, 1, 7, 7, 1, 1, 3, 3, true},
-    {{1, 2, 15, 15}, 1, 7, 7, 2, 2, 3, 3, false},
-    {{1, 3, 4, 2}, 1, 5, 5, 1, 1, 2, 2, true},
-    {{1, 2, 3, 2}, 1, 7, 7, 1, 1, 3, 3, true},
-    {{1, 3, 6, 3}, 1, 3, 3, 1, 1, 0, 0, true},
-    {{1, 2, 5, 1}, 1, 3, 3, 1, 2, 1, 1, true},
-    {{1, 4, 8, 8}, 2, 3, 3, 1, 1, 1, 1, true},
-    {{2, 3, 9, 10}, 2, 3, 3, 2, 2, 1, 1, true},
-    {{1, 3, 9, 12}, 1, 3, 5, 1, 2, 0, 2, true},
-    {{1, 96, 24, 24}, 1, 3, 3, 1, 1, 1, 1, true},
-};
+// asymmetric kernel, batch n > 1, the Mix-FFN DWConv shapes of B2 at
+// 96² and of the soak model, and 3x3 and 5x5 "same" convs on every
+// plane width 1-33, so each vector, tail and flattened-plane boundary
+// (16 % w, 8 % w) is crossed.
+std::vector<DepthwiseCase>
+depthwiseCases()
+{
+    std::vector<DepthwiseCase> cases = {
+        {{1, 5, 6, 7}, 1, 1, 1, 1, 1, 0, 0, true},
+        {{2, 3, 9, 9}, 1, 1, 1, 2, 2, 1, 1, true},
+        {{2, 6, 11, 13}, 1, 3, 3, 1, 1, 1, 1, true},
+        {{1, 4, 12, 9}, 1, 3, 3, 2, 2, 1, 1, false},
+        {{1, 4, 5, 5}, 1, 3, 3, 1, 1, 0, 0, true},
+        {{1, 3, 7, 6}, 1, 3, 3, 1, 1, 3, 3, true},
+        {{1, 3, 10, 17}, 1, 5, 5, 1, 1, 2, 2, true},
+        {{1, 3, 10, 11}, 1, 5, 5, 2, 2, 3, 3, true},
+        {{1, 2, 14, 9}, 1, 7, 7, 1, 1, 3, 3, true},
+        {{1, 2, 15, 15}, 1, 7, 7, 2, 2, 3, 3, false},
+        {{1, 3, 4, 2}, 1, 5, 5, 1, 1, 2, 2, true},
+        {{1, 2, 3, 2}, 1, 7, 7, 1, 1, 3, 3, true},
+        {{1, 3, 6, 3}, 1, 3, 3, 1, 1, 0, 0, true},
+        {{1, 2, 5, 1}, 1, 3, 3, 1, 2, 1, 1, true},
+        {{1, 4, 8, 8}, 2, 3, 3, 1, 1, 1, 1, true},
+        {{2, 3, 9, 10}, 2, 3, 3, 2, 2, 1, 1, true},
+        {{1, 3, 9, 12}, 1, 3, 5, 1, 2, 0, 2, true},
+        {{1, 96, 24, 24}, 1, 3, 3, 1, 1, 1, 1, true},
+        {{1, 3, 6, 8}, 1, 3, 3, 1, 1, 2, 1, true},
+        {{1, 256, 24, 24}, 1, 3, 3, 1, 1, 1, 1, true},
+        {{1, 512, 12, 12}, 1, 3, 3, 1, 1, 1, 1, true},
+        {{1, 1280, 6, 6}, 1, 3, 3, 1, 1, 1, 1, true},
+        {{1, 2048, 3, 3}, 1, 3, 3, 1, 1, 1, 1, true},
+        {{1, 32, 16, 16}, 1, 3, 3, 1, 1, 1, 1, true},
+        {{2, 128, 2, 2}, 1, 3, 3, 1, 1, 1, 1, true},
+    };
+    for (int64_t w = 1; w <= 33; ++w) {
+        cases.push_back({{1, 11, w, w}, 1, 3, 3, 1, 1, 1, 1, w % 2 == 0});
+        cases.push_back({{1, 3, 1 + w % 4, w}, 1, 5, 5, 1, 1, 2, 2, true});
+    }
+    return cases;
+}
 
 /** Every Direct plan the depthwise slice can run under: one per
  *  available ISA. */
@@ -598,7 +616,7 @@ directPlans()
 TEST_P(DepthwiseParityTest, MatchesDirectLoop)
 {
     Rng rng(89);
-    for (const DepthwiseCase &tc : kDepthwiseCases) {
+    for (const DepthwiseCase &tc : depthwiseCases()) {
         const int64_t c = tc.x[1];
         Conv2dParams p;
         p.strideH = tc.sh;
@@ -622,6 +640,10 @@ TEST_P(DepthwiseParityTest, MatchesDirectLoop)
             addSpecials(xs, f.nan);
             Tensor ws = w;
             ws[1] = -0.0f;
+            // Inf and NaN taps: where they fall on padding they must
+            // add nothing, not 0 * Inf.
+            ws[ws.numel() - 1] = std::numeric_limits<float>::infinity();
+            ws[ws.numel() / 2] = f.nan;
             Tensor bs = b;
             if (bs.numel())
                 bs[0] = -0.0f;
@@ -633,6 +655,42 @@ TEST_P(DepthwiseParityTest, MatchesDirectLoop)
                     << tc.kh << "x" << tc.kw << " isa " << isaName(plan.isa)
                     << " nan bits " << f.nanBits;
         }
+    }
+}
+
+TEST_P(DepthwiseParityTest, PaddedTapsAddNothing)
+{
+    // An all -0.0 input times +1 taps sums to -0.0 from a -0.0 bias,
+    // and Inf/NaN corner taps only ever fall on padding at the plane's
+    // edges. A kernel that added 0 for a padded tap would turn those
+    // -0.0 outputs to +0.0, and those edge outputs to NaN.
+    for (int64_t side = 1; side <= 33; ++side) {
+        const int64_t c = 5;
+        Conv2dParams p;
+        p.padH = p.padW = 1;
+        p.groups = c;
+        Tensor x({1, c, side, side}, -0.0f);
+        Tensor w({c, 1, 3, 3}, 1.0f);
+        Tensor b({c}, -0.0f);
+        const Tensor want = directConvOracle(x, w, b, p);
+        for (int64_t i = 0; i < want.numel(); ++i)
+            ASSERT_TRUE(std::signbit(want[i])) << "side " << side;
+        for (const Conv2dPlan &plan : directPlans())
+            EXPECT_TRUE(bitIdentical(want, conv2d(x, w, b, p, plan)))
+                << "side " << side << " isa " << isaName(plan.isa);
+
+        Rng rng(static_cast<uint64_t>(side));
+        Tensor xf = Tensor::randn({1, c, side, side}, rng);
+        Tensor wf({c, 1, 3, 3}, 0.5f);
+        for (int64_t k = 0; k < c; ++k) {
+            wf[k * 9 + 0] = std::numeric_limits<float>::infinity();
+            wf[k * 9 + 8] = generatedNaN();
+        }
+        const Tensor want_f = directConvOracle(xf, wf, b, p);
+        for (const Conv2dPlan &plan : directPlans())
+            EXPECT_TRUE(bitIdentical(want_f, conv2d(xf, wf, b, p, plan)))
+                << "Inf/NaN corners, side " << side << " isa "
+                << isaName(plan.isa);
     }
 }
 
@@ -653,6 +711,70 @@ TEST_P(DepthwiseParityTest, UngroupedSingleChannelInputUsesSameOrder)
             << "isa " << isaName(plan.isa);
 }
 
+class DirectConvParityTest : public PoolThreadsTest
+{
+};
+
+TEST_P(DirectConvParityTest, MatchesDirectLoop)
+{
+    struct Case
+    {
+        Shape x, w;
+        int64_t stride, pad, groups;
+    };
+    // The soak model's direct convs (sr_conv of stages 0-2 and the
+    // stage-3 patch embed), then padded, strided, grouped (but not
+    // depthwise) and batched ones, with channel counts that leave a
+    // 1-3 channel rest after the four-channel blocks.
+    const Case cases[] = {
+        {{1, 8, 16, 16}, {8, 8, 8, 8}, 8, 0, 1},
+        {{1, 16, 8, 8}, {16, 16, 4, 4}, 4, 0, 1},
+        {{1, 24, 4, 4}, {24, 24, 2, 2}, 2, 0, 1},
+        {{1, 24, 4, 4}, {32, 24, 3, 3}, 2, 1, 1},
+        {{2, 5, 9, 7}, {7, 5, 3, 3}, 1, 1, 1},
+        {{1, 3, 11, 11}, {6, 3, 5, 5}, 3, 2, 1},
+        {{2, 8, 7, 9}, {10, 4, 3, 3}, 2, 1, 2},
+        {{1, 12, 6, 6}, {9, 4, 1, 1}, 1, 0, 3},
+        {{3, 6, 5, 5}, {6, 2, 3, 3}, 1, 2, 3},
+    };
+    Rng rng(131);
+    for (const Case &tc : cases) {
+        Conv2dParams p;
+        p.strideH = p.strideW = tc.stride;
+        p.padH = p.padW = tc.pad;
+        p.groups = tc.groups;
+        Tensor x = Tensor::randn(tc.x, rng);
+        Tensor w = Tensor::randn(tc.w, rng);
+        Tensor b = Tensor::randn({tc.w[0]}, rng);
+        const Tensor want = directConvOracle(x, w, b, p);
+        for (const Conv2dPlan &plan : directPlans())
+            EXPECT_TRUE(bitIdentical(want, conv2d(x, w, b, p, plan)))
+                << "x " << shapeToString(tc.x) << " w "
+                << shapeToString(tc.w) << " isa " << isaName(plan.isa);
+        EXPECT_TRUE(bitIdentical(directConvOracle(x, w, Tensor{}, p),
+                                 conv2d(x, w, Tensor{}, p,
+                                        Conv2dAlgo::Direct)))
+            << "no bias, x " << shapeToString(tc.x);
+
+        for (const NanFlavor &f : nanFlavors()) {
+            Tensor xs = x;
+            addSpecials(xs, f.nan);
+            Tensor ws = w;
+            ws[1] = -0.0f;
+            ws[ws.numel() - 1] = std::numeric_limits<float>::infinity();
+            Tensor bs = b;
+            bs[0] = -0.0f;
+            const Tensor want_sp = directConvOracle(xs, ws, bs, p);
+            for (const Conv2dPlan &plan : directPlans())
+                EXPECT_TRUE(bitIdentical(
+                    want_sp, conv2d(xs, ws, bs, p, plan), f.nanBits))
+                    << "specials, x " << shapeToString(tc.x) << " w "
+                    << shapeToString(tc.w) << " isa "
+                    << isaName(plan.isa) << " nan bits " << f.nanBits;
+        }
+    }
+}
+
 class BilinearParityTest : public PoolThreadsTest
 {
 };
@@ -664,33 +786,53 @@ TEST_P(BilinearParityTest, MatchesPerElementLoop)
         Shape x;
         int64_t oh, ow;
     };
-    // Up, down, same size, mixed, 1x1 in and out, and the B2
-    // FinalUpsample shape (150 planes, 24 -> 96), which shards.
-    const Case cases[] = {
+    // Up, down, same size, mixed, 1x1 in and out, the B2
+    // FinalUpsample shape (150 planes, 24 -> 96) and decoder upsamples
+    // (768 planes, 12/6/3 -> 24), which shard, and every source width
+    // 1-33 up and down: widths past 8, 16 and 32 columns cross from
+    // register permutes to gathers.
+    std::vector<Case> cases = {
         {{1, 3, 5, 7}, 13, 17},  {{2, 2, 13, 11}, 5, 4},
         {{1, 2, 7, 7}, 7, 7},    {{1, 2, 5, 9}, 11, 4},
         {{1, 1, 1, 1}, 3, 5},    {{1, 2, 6, 4}, 1, 1},
-        {{1, 150, 24, 24}, 96, 96},
+        {{1, 150, 24, 24}, 96, 96}, {{1, 768, 12, 12}, 24, 24},
+        {{1, 768, 6, 6}, 24, 24},   {{1, 768, 3, 3}, 24, 24},
     };
+    for (int64_t w = 1; w <= 33; ++w) {
+        cases.push_back({{1, 2, 3, w}, 5, 3 * w + 1});
+        cases.push_back({{1, 2, 4, w}, 2, w / 2 + 1});
+    }
     Rng rng(101);
     for (const Case &tc : cases) {
         Tensor x = Tensor::randn(tc.x, rng);
-        EXPECT_TRUE(bitIdentical(bilinearOracle(x, tc.oh, tc.ow),
-                                 interpolateBilinear(x, tc.oh, tc.ow)))
+        const Tensor want = bilinearOracle(x, tc.oh, tc.ow);
+        EXPECT_TRUE(
+            bitIdentical(want, interpolateBilinear(x, tc.oh, tc.ow)))
             << "x " << shapeToString(tc.x) << " -> " << tc.oh << "x"
             << tc.ow;
+        for (IsaLevel isa : availableIsas())
+            EXPECT_TRUE(bitIdentical(want, interpolateBilinear(
+                                               x, tc.oh, tc.ow,
+                                               kernelsFor(isa))))
+                << "x " << shapeToString(tc.x) << " -> " << tc.oh << "x"
+                << tc.ow << " isa " << isaName(isa);
         for (const NanFlavor &f : nanFlavors()) {
             Tensor xs = x;
             addSpecials(xs, f.nan);
-            EXPECT_TRUE(bitIdentical(bilinearOracle(xs, tc.oh, tc.ow),
-                                     interpolateBilinear(xs, tc.oh, tc.ow),
-                                     f.nanBits))
-                << "specials, x " << shapeToString(tc.x) << " nan bits "
-                << f.nanBits;
+            const Tensor want_sp = bilinearOracle(xs, tc.oh, tc.ow);
+            for (IsaLevel isa : availableIsas())
+                EXPECT_TRUE(bitIdentical(
+                    want_sp,
+                    interpolateBilinear(xs, tc.oh, tc.ow, kernelsFor(isa)),
+                    f.nanBits))
+                    << "specials, x " << shapeToString(tc.x) << " isa "
+                    << isaName(isa) << " nan bits " << f.nanBits;
         }
     }
 }
 
+INSTANTIATE_TEST_SUITE_P(Threads, DirectConvParityTest,
+                         ::testing::Values(1, 4));
 INSTANTIATE_TEST_SUITE_P(Threads, DepthwiseParityTest,
                          ::testing::Values(1, 4));
 INSTANTIATE_TEST_SUITE_P(Threads, BilinearParityTest,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -632,6 +633,159 @@ TEST_P(LayoutParityTest, NarrowAndPatchifyMatchIndexedLoops)
     }
 }
 
+// ---------------------------------------------------------------------
+// Row-sharded norm parity: softmax, layerNorm, batchNorm and
+// batchNormInPlace shard independent rows (planes) over the pool, and
+// must stay memcmp-identical to the serial loops they were (copied
+// below as oracles), at 1 and 4 pool threads.
+// ---------------------------------------------------------------------
+
+/** The serial softmax loop. */
+Tensor
+softmaxOracle(const Tensor &input)
+{
+    const int64_t c = input.dim(-1);
+    const int64_t rows = input.numel() / c;
+    Tensor out(input.shape());
+    for (int64_t r = 0; r < rows; ++r) {
+        const float *xr = input.data() + r * c;
+        float *yr = out.data() + r * c;
+        float max_v = xr[0];
+        for (int64_t i = 1; i < c; ++i)
+            max_v = std::max(max_v, xr[i]);
+        if (std::isinf(max_v) && max_v < 0.0f) {
+            for (int64_t i = 0; i < c; ++i)
+                yr[i] = 1.0f / static_cast<float>(c);
+            continue;
+        }
+        float denom = 0.0f;
+        for (int64_t i = 0; i < c; ++i) {
+            yr[i] = std::exp(xr[i] - max_v);
+            denom += yr[i];
+        }
+        const float inv = 1.0f / denom;
+        for (int64_t i = 0; i < c; ++i)
+            yr[i] *= inv;
+    }
+    return out;
+}
+
+/** The serial layerNorm loop, double accumulation per row. */
+Tensor
+layerNormOracle(const Tensor &input, const Tensor &gamma,
+                const Tensor &beta, float eps)
+{
+    const int64_t c = input.dim(-1);
+    const int64_t rows = input.numel() / c;
+    Tensor out(input.shape());
+    for (int64_t r = 0; r < rows; ++r) {
+        const float *xr = input.data() + r * c;
+        float *yr = out.data() + r * c;
+        double mean = 0.0;
+        for (int64_t i = 0; i < c; ++i)
+            mean += xr[i];
+        mean /= c;
+        double var = 0.0;
+        for (int64_t i = 0; i < c; ++i) {
+            const double d = xr[i] - mean;
+            var += d * d;
+        }
+        var /= c;
+        const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+        for (int64_t i = 0; i < c; ++i)
+            yr[i] = (xr[i] - static_cast<float>(mean)) * inv * gamma[i] +
+                    beta[i];
+    }
+    return out;
+}
+
+/** The serial batchNorm loop. */
+Tensor
+batchNormOracle(const Tensor &input, const Tensor &gamma, const Tensor &beta,
+                const Tensor &mean, const Tensor &var, float eps)
+{
+    const int64_t n = input.dim(0);
+    const int64_t c = input.dim(1);
+    const int64_t hw = input.dim(2) * input.dim(3);
+    Tensor out(input.shape());
+    for (int64_t nn = 0; nn < n; ++nn)
+        for (int64_t cc = 0; cc < c; ++cc) {
+            const float scale = gamma[cc] / std::sqrt(var[cc] + eps);
+            const float shift = beta[cc] - mean[cc] * scale;
+            const float *x = input.data() + (nn * c + cc) * hw;
+            float *y = out.data() + (nn * c + cc) * hw;
+            for (int64_t i = 0; i < hw; ++i)
+                y[i] = x[i] * scale + shift;
+        }
+    return out;
+}
+
+class NormParityTest : public PoolThreadsTest
+{
+};
+
+TEST_P(NormParityTest, SoftmaxMatchesSerialLoop)
+{
+    // Rows below one shard and enough rows (100 columns) to shard at 4
+    // threads; one fully masked row and specials in the rest.
+    Rng rng(107);
+    const Shape shapes[] = {{3, 7}, {2, 1500, 100}};
+    for (const Shape &shape : shapes) {
+        Tensor x = randnWithSpecials(shape, rng);
+        for (int64_t i = 0; i < shape.back(); ++i)
+            x[i] = -std::numeric_limits<float>::infinity();
+        EXPECT_TRUE(bitIdentical(softmaxOracle(x), softmax(x), false))
+            << shapeToString(shape);
+    }
+}
+
+TEST_P(NormParityTest, LayerNormMatchesSerialLoop)
+{
+    // B2 stage-0 tokens (576 x 64) and a batch of them, which shards.
+    Rng rng(109);
+    const Shape shapes[] = {{1, 5, 3}, {1, 576, 64}, {4, 576, 64}};
+    for (const Shape &shape : shapes) {
+        const int64_t c = shape.back();
+        Tensor x = Tensor::randn(shape, rng, 0.5f, 2.0f);
+        Tensor gamma = Tensor::randn({c}, rng);
+        Tensor beta = Tensor::randn({c}, rng);
+        beta[0] = -0.0f;
+        EXPECT_TRUE(bitIdentical(layerNormOracle(x, gamma, beta, 1e-6f),
+                                 layerNorm(x, gamma, beta, 1e-6f)))
+            << shapeToString(shape);
+        Tensor xs = randnWithSpecials(shape, rng);
+        EXPECT_TRUE(bitIdentical(layerNormOracle(xs, gamma, beta, 1e-6f),
+                                 layerNorm(xs, gamma, beta, 1e-6f), false))
+            << "specials, " << shapeToString(shape);
+    }
+}
+
+TEST_P(NormParityTest, BatchNormMatchesSerialLoop)
+{
+    // Conv2DFuse's B2 output (768 x 24²) shards at 4 threads.
+    Rng rng(113);
+    const Shape shapes[] = {{1, 3, 2, 2}, {2, 5, 7, 3}, {1, 768, 24, 24}};
+    for (const Shape &shape : shapes) {
+        const int64_t c = shape[1];
+        Tensor x = randnWithSpecials(shape, rng);
+        Tensor gamma = Tensor::randn({c}, rng);
+        Tensor beta = Tensor::randn({c}, rng);
+        Tensor mean = Tensor::randn({c}, rng);
+        Tensor var({c});
+        for (int64_t i = 0; i < c; ++i)
+            var[i] = 0.5f + static_cast<float>(i % 7);
+        const Tensor want = batchNormOracle(x, gamma, beta, mean, var, 1e-5f);
+        EXPECT_TRUE(bitIdentical(
+            want, batchNorm(x, gamma, beta, mean, var, 1e-5f), false))
+            << shapeToString(shape);
+        Tensor inplace = x;
+        batchNormInPlace(inplace, gamma, beta, mean, var, 1e-5f);
+        EXPECT_TRUE(bitIdentical(want, inplace, false))
+            << "in place, " << shapeToString(shape);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, NormParityTest, ::testing::Values(1, 4));
 INSTANTIATE_TEST_SUITE_P(Threads, ElementwiseParityTest,
                          ::testing::Values(1, 4));
 INSTANTIATE_TEST_SUITE_P(Threads, LayoutParityTest,

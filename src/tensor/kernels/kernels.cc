@@ -107,18 +107,20 @@ addScaledRow(const float *__restrict x, float a, float *__restrict y,
         y[j] += x[j] * a;
 }
 
-} // namespace
-
+/**
+ * Row at a time: each output row starts at the bias, then every
+ * in-range tap (r, then s, ascending) adds its input span times the
+ * tap weight to the output columns whose tap lands inside the input.
+ * Per element, that is the direct loop's order with the padded taps
+ * skipped. A stride-1 span runs row(x, a, y, n), which must compute
+ * y[j] += x[j] * a for j in [0, n), mul then add.
+ */
+template <typename Row>
 void
-depthwiseScalar(const DepthwiseGeom &g, const float *in, int64_t in_stride,
-                const float *wk, const float *bias, float *out,
-                int64_t planes)
+depthwiseSweep(const DepthwiseGeom &g, const float *in, int64_t in_stride,
+               const float *wk, const float *bias, float *out,
+               int64_t planes, Row row)
 {
-    // Row at a time: each output row starts at the bias, then every
-    // in-range tap (r, then s, ascending) adds its input span times
-    // the tap weight to the output columns whose tap lands inside the
-    // input. Per element, that is the direct loop's order with the
-    // padded taps skipped.
     const int64_t sw = g.strideW;
     // Output columns oq in [first[ss], last[ss]) read input column
     // oq * sw + ss - padW, which lies in [0, w). Hoisted out of the
@@ -150,10 +152,11 @@ depthwiseScalar(const DepthwiseGeom &g, const float *in, int64_t in_stride,
                     const int64_t off = ss - g.padW;
                     const int64_t q0 = first[ss];
                     const int64_t q1 = last[ss];
+                    if (q0 >= q1)
+                        continue;
                     const float wv = taps[rr * g.s + ss];
                     if (sw == 1) {
-                        addScaledRow(irow + q0 + off, wv, orow + q0,
-                                     q1 - q0);
+                        row(irow + q0 + off, wv, orow + q0, q1 - q0);
                     } else {
                         for (int64_t oq = q0; oq < q1; ++oq)
                             orow[oq] += irow[oq * sw + off] * wv;
@@ -162,6 +165,30 @@ depthwiseScalar(const DepthwiseGeom &g, const float *in, int64_t in_stride,
             }
         }
     }
+}
+
+} // namespace
+
+void
+depthwiseScalar(const DepthwiseGeom &g, const float *in, int64_t in_stride,
+                const float *wk, const float *bias, float *out,
+                int64_t planes)
+{
+    depthwiseSweep(g, in, in_stride, wk, bias, out, planes,
+                   [](const float *x, float a, float *y, int64_t n) {
+                       addScaledRow(x, a, y, n);
+                   });
+}
+
+void
+depthwiseAxpy(const DepthwiseGeom &g, const float *in, int64_t in_stride,
+              const float *wk, const float *bias, float *out, int64_t planes,
+              void (*axpy)(float, const float *, float *, int64_t))
+{
+    depthwiseSweep(g, in, in_stride, wk, bias, out, planes,
+                   [axpy](const float *x, float a, float *y, int64_t n) {
+                       axpy(a, x, y, n);
+                   });
 }
 
 void

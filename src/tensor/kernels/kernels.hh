@@ -25,10 +25,11 @@
  * a tap that falls outside the input is masked out of both the load
  * and the add, so a lane adds nothing for it (not +0) and -0.0 sums,
  * Inf and NaN keep their bits. Bilinear lanes run over output columns
- * and pick their four source taps with in-register permutes (gathers
- * on rows too wide for a register pair), after multiplying each source
- * row once by its row weight: that product is the reference
- * expression's own first rounding, so the sum keeps every bit.
+ * and pick their four source taps with in-register permutes, after
+ * multiplying each source row once by its row weight: that product is
+ * the reference expression's own first rounding, so the sum keeps
+ * every bit. Source rows too wide for the registers (over 16 columns
+ * on AVX2, over 32 on AVX-512) run the scalar reference.
  *
  * The GEMM tile accumulates into `out` (it reads the partial sums the
  * previous call left there), so the GEMM driver (tensor/gemm.hh) can
@@ -206,6 +207,17 @@ namespace kernels
 void depthwiseScalar(const DepthwiseGeom &g, const float *in,
                      int64_t in_stride, const float *wk, const float *bias,
                      float *out, int64_t planes);
+
+/**
+ * depthwiseScalar()'s row sweep with every stride-1 span run as
+ * axpy(tap, input span, output span, n). With an exact axpyF32 it is
+ * memcmp-identical to depthwiseScalar(); the NEON set runs it on
+ * axpyNeon, as the depthwise conv did before it had its own entry.
+ */
+void depthwiseAxpy(const DepthwiseGeom &g, const float *in,
+                   int64_t in_stride, const float *wk, const float *bias,
+                   float *out, int64_t planes,
+                   void (*axpy)(float, const float *, float *, int64_t));
 
 /** Scalar reference of Microkernels::bilinearF32. */
 void bilinearScalar(const BilinearTaps &t, const float *in, float *out,

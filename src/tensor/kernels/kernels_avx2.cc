@@ -527,18 +527,15 @@ pickColumn(const __m256 *a, __m256i idx)
 /**
  * Bilinear resize, lanes over output columns. Source rows of at most
  * 8 or 16 columns sit in N = 1 or 2 registers after their multiply by
- * the row weight, and pickColumn selects each lane's taps; wider rows
- * (N = 0) gather theirs and multiply them there. Four registers and
- * two blend levels for rows up to 32 columns measured no faster than
- * the gathers. Either way a lane's products and sums are the
- * reference expression's, in order.
+ * the row weight, and pickColumn selects each lane's taps, so a
+ * lane's products and sums are the reference expression's, in order.
  */
 template <int N>
 void
 bilinearRows(const BilinearTaps &t, const float *in, float *out,
              int64_t planes)
 {
-    __m256i row_lanes[N > 0 ? N : 1];
+    __m256i row_lanes[N];
     for (int k = 0; k < N; ++k)
         row_lanes[k] = lanes8(t.w - 8 * k);
     for (int64_t u = 0; u < planes; ++u) {
@@ -549,8 +546,8 @@ bilinearRows(const BilinearTaps &t, const float *in, float *out,
             const float *row1 = plane + t.row1[i] * t.w;
             const __m256 gh0 = _mm256_set1_ps(t.rowW0[i]);
             const __m256 gh1 = _mm256_set1_ps(t.rowW1[i]);
-            __m256 a0[N > 0 ? N : 1];
-            __m256 a1[N > 0 ? N : 1];
+            __m256 a0[N];
+            __m256 a1[N];
             for (int k = 0; k < N; ++k) {
                 a0[k] = _mm256_mul_ps(
                     _mm256_maskload_ps(row0 + 8 * k, row_lanes[k]), gh0);
@@ -564,18 +561,10 @@ bilinearRows(const BilinearTaps &t, const float *in, float *out,
                 const __m256i c1 = _mm256_maskload_epi32(t.col1 + j, live);
                 const __m256 gw0 = _mm256_maskload_ps(t.colW0 + j, live);
                 const __m256 gw1 = _mm256_maskload_ps(t.colW1 + j, live);
-                __m256 v00, v01, v10, v11;
-                if constexpr (N > 0) {
-                    v00 = pickColumn<N>(a0, c0);
-                    v01 = pickColumn<N>(a0, c1);
-                    v10 = pickColumn<N>(a1, c0);
-                    v11 = pickColumn<N>(a1, c1);
-                } else {
-                    v00 = _mm256_mul_ps(_mm256_i32gather_ps(row0, c0, 4), gh0);
-                    v01 = _mm256_mul_ps(_mm256_i32gather_ps(row0, c1, 4), gh0);
-                    v10 = _mm256_mul_ps(_mm256_i32gather_ps(row1, c0, 4), gh1);
-                    v11 = _mm256_mul_ps(_mm256_i32gather_ps(row1, c1, 4), gh1);
-                }
+                const __m256 v00 = pickColumn<N>(a0, c0);
+                const __m256 v01 = pickColumn<N>(a0, c1);
+                const __m256 v10 = pickColumn<N>(a1, c0);
+                const __m256 v11 = pickColumn<N>(a1, c1);
                 __m256 v = _mm256_mul_ps(v00, gw0);
                 v = _mm256_add_ps(v, _mm256_mul_ps(v01, gw1));
                 v = _mm256_add_ps(v, _mm256_mul_ps(v10, gw0));
@@ -590,12 +579,15 @@ void
 bilinearAvx2(const BilinearTaps &t, const float *in, float *out,
              int64_t planes)
 {
+    // Wider source rows run the scalar reference. On B2's 24-column
+    // FinalUpsample, AVX2 gathers measured slower than it, and a
+    // four-register pick with two blend levels no faster than those.
     if (t.w <= 8)
         bilinearRows<1>(t, in, out, planes);
     else if (t.w <= 16)
         bilinearRows<2>(t, in, out, planes);
     else
-        bilinearRows<0>(t, in, out, planes);
+        kernels::bilinearScalar(t, in, out, planes);
 }
 
 const Microkernels kAvx2Kernels = {

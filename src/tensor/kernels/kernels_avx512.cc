@@ -394,15 +394,18 @@ depthwiseAvx512(const DepthwiseGeom &g, const float *in, int64_t in_stride,
 /**
  * Bilinear resize, lanes over output columns. A source row of at most
  * 32 columns sits in a register pair after its multiply by the row
- * weight, and _mm512_permutex2var_ps picks each lane's tap from it;
- * wider rows gather their taps and multiply them there. Either way a
- * lane's products and sums are the reference expression's, in order.
+ * weight, and _mm512_permutex2var_ps picks each lane's tap from it, so
+ * a lane's products and sums are the reference expression's, in order.
+ * Wider source rows run the scalar reference.
  */
 void
 bilinearAvx512(const BilinearTaps &t, const float *in, float *out,
                int64_t planes)
 {
-    const bool pair = t.w <= 32;
+    if (t.w > 32) {
+        kernels::bilinearScalar(t, in, out, planes);
+        return;
+    }
     const __mmask16 lo = lanes(std::min<int64_t>(t.w, 16));
     const __mmask16 hi = t.w > 16 ? lanes(std::min<int64_t>(t.w - 16, 16))
                                   : 0;
@@ -414,13 +417,14 @@ bilinearAvx512(const BilinearTaps &t, const float *in, float *out,
             const float *row1 = plane + t.row1[i] * t.w;
             const __m512 gh0 = _mm512_set1_ps(t.rowW0[i]);
             const __m512 gh1 = _mm512_set1_ps(t.rowW1[i]);
-            __m512 a0l = _mm512_setzero_ps(), a0h = a0l, a1l = a0l, a1h = a0l;
-            if (pair) {
-                a0l = _mm512_mul_ps(_mm512_maskz_loadu_ps(lo, row0), gh0);
-                a0h = _mm512_mul_ps(_mm512_maskz_loadu_ps(hi, row0 + 16), gh0);
-                a1l = _mm512_mul_ps(_mm512_maskz_loadu_ps(lo, row1), gh1);
-                a1h = _mm512_mul_ps(_mm512_maskz_loadu_ps(hi, row1 + 16), gh1);
-            }
+            const __m512 a0l =
+                _mm512_mul_ps(_mm512_maskz_loadu_ps(lo, row0), gh0);
+            const __m512 a0h =
+                _mm512_mul_ps(_mm512_maskz_loadu_ps(hi, row0 + 16), gh0);
+            const __m512 a1l =
+                _mm512_mul_ps(_mm512_maskz_loadu_ps(lo, row1), gh1);
+            const __m512 a1h =
+                _mm512_mul_ps(_mm512_maskz_loadu_ps(hi, row1 + 16), gh1);
             float *orow = dst + i * t.outW;
             for (int64_t j = 0; j < t.outW; j += 16) {
                 const __mmask16 live =
@@ -429,22 +433,10 @@ bilinearAvx512(const BilinearTaps &t, const float *in, float *out,
                 const __m512i c1 = _mm512_maskz_loadu_epi32(live, t.col1 + j);
                 const __m512 gw0 = _mm512_maskz_loadu_ps(live, t.colW0 + j);
                 const __m512 gw1 = _mm512_maskz_loadu_ps(live, t.colW1 + j);
-                __m512 v00, v01, v10, v11;
-                if (pair) {
-                    v00 = _mm512_permutex2var_ps(a0l, c0, a0h);
-                    v01 = _mm512_permutex2var_ps(a0l, c1, a0h);
-                    v10 = _mm512_permutex2var_ps(a1l, c0, a1h);
-                    v11 = _mm512_permutex2var_ps(a1l, c1, a1h);
-                } else {
-                    const auto tap = [live](__m512i c, const float *row) {
-                        return _mm512_mask_i32gather_ps(
-                            _mm512_setzero_ps(), live, c, row, 4);
-                    };
-                    v00 = _mm512_mul_ps(tap(c0, row0), gh0);
-                    v01 = _mm512_mul_ps(tap(c1, row0), gh0);
-                    v10 = _mm512_mul_ps(tap(c0, row1), gh1);
-                    v11 = _mm512_mul_ps(tap(c1, row1), gh1);
-                }
+                const __m512 v00 = _mm512_permutex2var_ps(a0l, c0, a0h);
+                const __m512 v01 = _mm512_permutex2var_ps(a0l, c1, a0h);
+                const __m512 v10 = _mm512_permutex2var_ps(a1l, c0, a1h);
+                const __m512 v11 = _mm512_permutex2var_ps(a1l, c1, a1h);
                 __m512 v = _mm512_mul_ps(v00, gw0);
                 v = _mm512_add_ps(v, _mm512_mul_ps(v01, gw1));
                 v = _mm512_add_ps(v, _mm512_mul_ps(v10, gw0));

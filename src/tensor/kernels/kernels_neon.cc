@@ -275,11 +275,20 @@ geluNeon(const float *x, float *y, int64_t n)
     lanes::geluSpan<F32x4>(x, y, n);
 }
 
+void
+depthwiseNeon(const DepthwiseGeom &g, const float *in, int64_t in_stride,
+              const float *wk, const float *bias, float *out, int64_t planes)
+{
+    kernels::depthwiseAxpy(g, in, in_stride, wk, bias, out, planes,
+                           axpyNeon);
+}
+
 const Microkernels kNeonKernels = {
     IsaLevel::Neon, gemmTileExactNeon, axpyNeon, dotS8Neon,
     quantizeNeon,   dequantizeNeon,    geluNeon,
-    // Depthwise conv and bilinear resize have no NEON bodies yet.
-    kernels::depthwiseScalar, kernels::bilinearScalar,
+    // No NEON depthwise body yet: its stride-1 row spans run on
+    // axpyNeon. The bilinear resize runs the scalar reference.
+    depthwiseNeon,  kernels::bilinearScalar,
 };
 
 } // namespace

@@ -240,6 +240,56 @@ TEST(Axpy, BitIdenticalToScalarIncludingSpecials)
     }
 }
 
+TEST(DepthwiseAxpy, MatchesScalarReferenceOnEveryAxpy)
+{
+    // depthwiseAxpy is the depthwise entry of ISAs without their own
+    // body: the reference's row sweep with each stride-1 span on that
+    // ISA's axpyF32. Run it on every available axpy, over strides 1
+    // and 2, pads 0-2, widths 1-33, a shared input plane, a -0.0 bias
+    // and Inf/NaN taps.
+    struct Case
+    {
+        int64_t h, w, r, s, stride, pad;
+    };
+    std::vector<Case> cases = {{7, 9, 3, 3, 2, 1}, {5, 6, 5, 3, 1, 2},
+                               {2, 3, 7, 7, 1, 3}, {9, 4, 3, 5, 2, 0}};
+    for (int64_t w = 1; w <= 33; ++w)
+        cases.push_back({3, w, 3, 3, 1, 1});
+    const int64_t planes = 3;
+    for (const Case &tc : cases) {
+        DepthwiseGeom g{tc.h, tc.w, tc.r, tc.s, tc.stride, tc.stride,
+                        tc.pad, tc.pad, 0, 0};
+        g.p = (g.h + 2 * g.padH - g.r) / g.strideH + 1;
+        g.q = (g.w + 2 * g.padW - g.s) / g.strideW + 1;
+        std::vector<float> in(planes * g.h * g.w), wk(planes * g.r * g.s);
+        for (size_t i = 0; i < in.size(); ++i)
+            in[i] = mixedValue(static_cast<int64_t>(i) + 5);
+        for (size_t i = 0; i < wk.size(); ++i)
+            wk[i] = mixedValue(static_cast<int64_t>(i) + 17);
+        wk[0] = std::numeric_limits<float>::infinity();
+        wk[wk.size() - 1] = std::numeric_limits<float>::quiet_NaN();
+        const std::vector<float> bias = {-0.0f, 0.25f, -1.5f};
+        for (int64_t in_stride : {g.h * g.w, int64_t{0}}) {
+            for (const float *b : {bias.data(), (const float *)nullptr}) {
+                std::vector<float> want(planes * g.p * g.q);
+                kernels::depthwiseScalar(g, in.data(), in_stride,
+                                         wk.data(), b, want.data(), planes);
+                for (IsaLevel isa : availableIsas()) {
+                    std::vector<float> got(want.size(), 7.0f);
+                    kernels::depthwiseAxpy(g, in.data(), in_stride,
+                                           wk.data(), b, got.data(), planes,
+                                           kernelsFor(isa).axpyF32);
+                    EXPECT_TRUE(bitEqual(want, got))
+                        << "isa=" << isaName(isa) << " h=" << tc.h
+                        << " w=" << tc.w << " stride=" << tc.stride
+                        << " in_stride=" << in_stride
+                        << " bias=" << (b != nullptr);
+                }
+            }
+        }
+    }
+}
+
 TEST(DotS8, ExactAcrossLengthsAndFlushBoundary)
 {
     const Microkernels &scalar = kernelsFor(IsaLevel::Scalar);

@@ -385,18 +385,18 @@ gemmSweepTable()
     };
     Rng rng(19);
     const Tensor x1 = Tensor::randn({1, 576, 64}, rng);
-    const Tensor w1 = Tensor::randn({256, 64}, rng);
+    const Tensor w1 = packLinearWeight(Tensor::randn({256, 64}, rng));
     const Tensor b1 = Tensor::randn({256}, rng);
     const Tensor x4 = Tensor::randn({1, 9, 512}, rng);
-    const Tensor w4 = Tensor::randn({2048, 512}, rng);
+    const Tensor w4 = packLinearWeight(Tensor::randn({2048, 512}, rng));
     const Tensor b4 = Tensor::randn({2048}, rng);
     const Tensor kv = Tensor::randn({1, 9, 64}, rng);
     const Tensor probs = softmax(attentionScores(x1, kv, 1));
     const OpCase ops[] = {
         {"B2 stage-1 linear 576x64->256", 2.0 * 576 * 64 * 256,
-         [&](const Microkernels &mk) { return linear(x1, w1, b1, mk); }},
+         [&](const Microkernels &mk) { return linear(x1, w1, 256, b1, mk); }},
         {"B2 stage-4 linear 9x512->2048", 2.0 * 9 * 512 * 2048,
-         [&](const Microkernels &mk) { return linear(x4, w4, b4, mk); }},
+         [&](const Microkernels &mk) { return linear(x4, w4, 2048, b4, mk); }},
         {"B2 stage-1 attn score 576x9 d64", 2.0 * 576 * 9 * 64,
          [&](const Microkernels &mk) {
              return attentionScores(x1, kv, 1, mk);
@@ -528,18 +528,38 @@ BM_Conv2dInt8(benchmark::State &state)
 }
 BENCHMARK(BM_Conv2dInt8);
 
+/**
+ * linear() on a packed weight, as the executor runs it: args are
+ * {rows, in_features, out_features}. Two square shapes, then the
+ * SegFormer-B2 shapes at the benchmark's 96x96 input: stage-3 and
+ * stage-4 Mix-FFN (9 and 36 tokens), the stage-1 attention and
+ * Mix-FFN projections (576 tokens), and a stage-2 Mix-FFN fc1.
+ */
 void
 BM_Linear(benchmark::State &state)
 {
-    const int64_t n = state.range(0);
+    const int64_t rows = state.range(0);
+    const int64_t in_f = state.range(1);
+    const int64_t out_f = state.range(2);
     Rng rng(4);
-    Tensor x = Tensor::randn({256, n}, rng);
-    Tensor w = Tensor::randn({n, n}, rng);
+    Tensor x = Tensor::randn({rows, in_f}, rng);
+    Tensor panels = packLinearWeight(Tensor::randn({out_f, in_f}, rng));
+    Tensor b = Tensor::randn({out_f}, rng);
     for (auto _ : state)
-        benchmark::DoNotOptimize(linear(x, w, Tensor{}).numel());
-    state.SetItemsProcessed(state.iterations() * 256 * n * n);
+        benchmark::DoNotOptimize(linear(x, panels, out_f, b).numel());
+    state.SetItemsProcessed(state.iterations() * rows * in_f * out_f);
 }
-BENCHMARK(BM_Linear)->Arg(64)->Arg(256);
+BENCHMARK(BM_Linear)
+    ->Args({256, 64, 64})
+    ->Args({256, 256, 256})
+    ->Args({9, 512, 2048})
+    ->Args({9, 2048, 512})
+    ->Args({36, 320, 1280})
+    ->Args({36, 1280, 320})
+    ->Args({576, 64, 768})
+    ->Args({576, 64, 256})
+    ->Args({576, 256, 64})
+    ->Args({144, 128, 512});
 
 void
 BM_Attention(benchmark::State &state)

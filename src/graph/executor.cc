@@ -60,10 +60,15 @@ Executor::mutateWeights(const std::string &layer_name,
             return false;
         // Copy-on-write: the store's tensor is shared with every other
         // executor of this model family; clone before damaging it so
-        // the fault stays local to this execution path.
-        Tensor damaged = *lw.weight;
+        // the fault stays local to this execution path. A Linear
+        // weight is damaged in its [out, in] form and packed again.
+        const bool packed = layer.kind == LayerKind::Linear;
+        const int64_t out_f = layer.attrs.outFeatures;
+        Tensor damaged =
+            packed ? unpackLinearWeight(*lw.weight, out_f) : *lw.weight;
         fn(damaged);
-        lw.weight = std::make_shared<const Tensor>(std::move(damaged));
+        lw.weight = std::make_shared<const Tensor>(
+            packed ? packLinearWeight(damaged) : std::move(damaged));
         // The conv workspace may cache a repacked copy of the weights;
         // drop it so the mutation is visible to the next run.
         if (auto ws = convWs_.find(layer.id); ws != convWs_.end())
@@ -292,9 +297,11 @@ Executor::execute(const Layer &layer, const std::vector<Tensor *> &ins)
       case LayerKind::Linear: {
         const SharedLayerWeights &lw = weightsFor(layer);
         if (int8_)
-            return linearInt8(quantize(*ins.at(0)),
-                              quantize(*lw.weight), *lw.bias);
-        return linear(*ins.at(0), *lw.weight, *lw.bias);
+            return linearInt8(
+                quantize(*ins.at(0)),
+                quantize(unpackLinearWeight(*lw.weight, a.outFeatures)),
+                *lw.bias);
+        return linear(*ins.at(0), *lw.weight, a.outFeatures, *lw.bias);
       }
       case LayerKind::AttentionScore:
         return attentionScores(*ins.at(0), *ins.at(1), a.numHeads);

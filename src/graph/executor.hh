@@ -193,7 +193,9 @@ class Executor
      * (synthesizing it first if needed) — the persistent-fault
      * injection point. Copy-on-write: the shared store tensor is
      * cloned into executor-local storage before mutation, so weight
-     * damage never leaks to other executors sharing the store.
+     * damage never leaks to other executors sharing the store. A
+     * Linear weight reaches @p fn in its [out, in] form and is packed
+     * again afterwards, so @p fn sees the same layout for every kind.
      * Returns false when the layer does not exist or carries no
      * weights.
      */

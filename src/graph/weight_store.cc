@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/span.hh"
+#include "tensor/ops.hh"
 #include "util/random.hh"
 
 namespace vitdyn
@@ -37,17 +38,6 @@ sliceConvWeight(const Tensor &full, int64_t k, int64_t c)
             for (int64_t rr = 0; rr < r; ++rr)
                 for (int64_t ss = 0; ss < s; ++ss)
                     out.at4(kk, cc, rr, ss) = full.at4(kk, cc, rr, ss);
-    return out;
-}
-
-/** Slice the leading [out, in] block of a rank-2 linear weight tensor. */
-Tensor
-sliceLinearWeight(const Tensor &full, int64_t out_f, int64_t in_f)
-{
-    Tensor out({out_f, in_f});
-    for (int64_t o = 0; o < out_f; ++o)
-        for (int64_t i = 0; i < in_f; ++i)
-            out.at2(o, i) = full.at2(o, i);
     return out;
 }
 
@@ -135,8 +125,8 @@ WeightStore::synthesizeFull(const FullKey &key)
         break;
       }
       case LayerKind::Linear: {
-        lw.weight = share(Tensor::heInit({key.fullOut, key.fullIn}, rng,
-                                         key.fullIn));
+        lw.weight =
+            share(heInitLinearWeight(key.fullOut, key.fullIn, rng));
         if (key.hasBias)
             lw.bias =
                 share(Tensor::randn({key.fullOut}, rng, 0.0f, 0.01f));

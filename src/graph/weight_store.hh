@@ -14,6 +14,17 @@
  * with zero copying; a pruned layer gets a cached slice shared with
  * every other executor of the same pruned dimensions.
  *
+ * Linear weights are stored packed, as column panels of W^T
+ * (tensor/ops.hh packLinearWeight, tensor/gemm.hh packPanels). The
+ * He draw goes straight into panels, 32 [out, in] rows at a time, in
+ * the historical draw order (heInitLinearWeight), and a pruned slice
+ * is cut panel by panel from the packed full weight
+ * (sliceLinearWeight), equal to packing the sliced [out, in] block. So each Linear entry is one resident copy (plus
+ * zero padding up to a multiple of 32 features, none for
+ * SegFormer-B2), and linear() runs Y = X W^T on it with no
+ * transposes. Packing moves floats and rounds nothing, so outputs are
+ * unchanged.
+ *
  * Contract:
  *  - **Bit-identity.** The synthesis stream (Rng seeding, generation
  *    order, slicing rules) is exactly the one the Executor used
@@ -56,7 +67,9 @@ namespace vitdyn
  * Immutable weight set of one layer, shared across executors. All
  * four pointers are always non-null; tensors a layer kind does not
  * use are empty. `weight`/`bias`/`mean`/`var` follow the Executor's
- * historical meaning (mean/var are BatchNorm running statistics).
+ * historical meaning (mean/var are BatchNorm running statistics),
+ * except that a Linear `weight` is packLinearWeight's panel form,
+ * shape (ceil(out / 32), in, 32); unpackLinearWeight gives [out, in].
  */
 struct SharedLayerWeights
 {

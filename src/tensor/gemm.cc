@@ -71,10 +71,85 @@ gemmBatched(GemmTileFn tile, const GemmDims &d, int64_t batch,
 
 void
 gemm(GemmTileFn tile, const GemmDims &dims, const GemmOperands &ops,
-     int64_t col_block, const GemmEpilogue &epilogue)
+     int64_t col_block)
 {
-    gemmBatched(tile, dims, 1, [&](int64_t) { return ops; }, col_block,
-                epilogue);
+    gemmBatched(tile, dims, 1, [&](int64_t) { return ops; }, col_block);
+}
+
+void
+packPanels(const float *w, int64_t n, int64_t len, float *panels)
+{
+    parallelFor(0, gemmPanelCount(n), grainForFlops(len * kGemmPanelCols),
+                [&](int64_t p0, int64_t p1) {
+        for (int64_t p = p0; p < p1; ++p) {
+            const int64_t c0 = p * kGemmPanelCols;
+            const int64_t cols = std::min(kGemmPanelCols, n - c0);
+            float *panel = panels + p * len * kGemmPanelCols;
+            transposeBlock(w + c0 * len, len, cols, len, panel,
+                           kGemmPanelCols);
+            if (cols < kGemmPanelCols)
+                for (int64_t l = 0; l < len; ++l)
+                    seedRow(panel + l * kGemmPanelCols + cols,
+                            kGemmPanelCols - cols, 0.0f);
+        }
+    });
+}
+
+void
+unpackPanels(const float *panels, int64_t n, int64_t len, float *w)
+{
+    parallelFor(0, gemmPanelCount(n), grainForFlops(len * kGemmPanelCols),
+                [&](int64_t p0, int64_t p1) {
+        for (int64_t p = p0; p < p1; ++p) {
+            const int64_t c0 = p * kGemmPanelCols;
+            transposeBlock(panels + p * len * kGemmPanelCols,
+                           kGemmPanelCols, len,
+                           std::min(kGemmPanelCols, n - c0), w + c0 * len,
+                           len);
+        }
+    });
+}
+
+void
+gemmPanels(GemmTileFn tile, int64_t m, int64_t n, int64_t len,
+           const float *x, const float *panels, const float *bias,
+           float *out)
+{
+    if (m <= 0 || n <= 0)
+        return;
+    // Rows per task: a multiple of every tile's row count (4 on AVX2,
+    // 6 on AVX-512), small enough that a 36-row input still splits
+    // into two blocks of tasks for the pool, and whose X chunk (24 x
+    // kGemmChunkLen floats) sits beside its panel chunk in L1.
+    constexpr int64_t kRowBlock = 24;
+    const int64_t row_blocks = (m + kRowBlock - 1) / kRowBlock;
+    const int64_t npanels = gemmPanelCount(n);
+    // Task t is row block t / npanels x panel t % npanels, so a shard
+    // sweeps the panels of one row block while its X rows stay hot.
+    parallelFor(0, row_blocks * npanels,
+                grainForFlops(2 * kRowBlock * kGemmPanelCols * len),
+                [&](int64_t t0, int64_t t1) {
+        for (int64_t t = t0; t < t1; ++t) {
+            const int64_t r0 = t / npanels * kRowBlock;
+            const int64_t kb = std::min(kRowBlock, m - r0);
+            const int64_t p = t % npanels;
+            const int64_t c0 = p * kGemmPanelCols;
+            const int64_t jb = std::min(kGemmPanelCols, n - c0);
+            const float *panel = panels + p * len * kGemmPanelCols;
+            float *o = out + r0 * n + c0;
+            for (int64_t i = 0; i < kb; ++i) {
+                float *row = o + i * n;
+                if (bias)
+                    std::copy(bias + c0, bias + c0 + jb, row);
+                else
+                    seedRow(row, jb, 0.0f);
+            }
+            for (int64_t l0 = 0; l0 < len; l0 += kGemmChunkLen)
+                tile(x + r0 * len + l0, len, panel + l0 * kGemmPanelCols,
+                     kGemmPanelCols, o, n, kb, jb,
+                     std::min(kGemmChunkLen, len - l0));
+        }
+    });
 }
 
 void

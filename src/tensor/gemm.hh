@@ -22,6 +22,23 @@
  * tile streams (kGemmChunkLen x block columns) cache-resident however
  * long the accumulation is, as an output-stationary accelerator tiles
  * its reduction axis and keeps partial sums in place.
+ *
+ * The driver comes in two operand layouts, one entry each:
+ *
+ *  - gemmBatched / gemm: `out = w x col + bias` with a per-row bias,
+ *    every operand row-major with its own leading dimension (conv's
+ *    im2col GEMM, the attention products).
+ *  - gemmPanels: `Y = X x W^T + b` with a per-column bias, where W^T
+ *    is stored as column panels (packPanels): panel p is a contiguous
+ *    [len][kGemmPanelCols] block holding columns 32p .. 32p+31 of W^T
+ *    (rows 32p .. 32p+31 of W), zero-padded past the last column.
+ *    X rows are the tile's broadcast operand, read in place; the panel
+ *    is its vector operand with ldc = kGemmPanelCols, so one l step
+ *    reads 128 contiguous bytes instead of a row a full W^T stride
+ *    away, and no transpose of X or Y is ever made. Each Y[r][c]
+ *    starts at b[c] and accumulates x[r][l] * w[c][l] over ascending
+ *    l, mul and add rounded separately: the same sequence the per-row
+ *    layout gives, so the two layouts agree to the bit.
  */
 
 #ifndef VITDYN_TENSOR_GEMM_HH
@@ -84,8 +101,40 @@ void gemmBatched(GemmTileFn tile, const GemmDims &dims, int64_t batch,
 
 /** gemmBatched for a single problem. */
 void gemm(GemmTileFn tile, const GemmDims &dims, const GemmOperands &ops,
-          int64_t col_block = kDefaultGemmColBlock,
-          const GemmEpilogue &epilogue = nullptr);
+          int64_t col_block = kDefaultGemmColBlock);
+
+/** Columns of one weight panel (see the file comment). */
+constexpr int64_t kGemmPanelCols = 32;
+
+/** Panels covering @p n columns: ceil(n / kGemmPanelCols). */
+constexpr int64_t
+gemmPanelCount(int64_t n)
+{
+    return (n + kGemmPanelCols - 1) / kGemmPanelCols;
+}
+
+/**
+ * Pack @p w, n rows of @p len floats (row stride len), as column panels
+ * of w^T: panels[(p * len + l) * kGemmPanelCols + c] = w[(32p + c) *
+ * len + l], and 0 where 32p + c >= n. @p panels holds
+ * gemmPanelCount(n) * len * kGemmPanelCols floats. Sharded over panels.
+ */
+void packPanels(const float *w, int64_t n, int64_t len, float *panels);
+
+/** Inverse of packPanels: rebuild the n x len row-major @p w. */
+void unpackPanels(const float *panels, int64_t n, int64_t len, float *w);
+
+/**
+ * out[r][c] = bias[c] (or +0.0f), then += x[r][l] * w^T[l][c] over
+ * ascending l, for r in [0, m) and c in [0, n): @p x is m x len
+ * (row stride len), @p panels is w^T packed by packPanels, @p out is
+ * m x n (row stride n). Sharded over (row block x panel) tasks; each
+ * task seeds its block with the bias and runs the tile once per
+ * kGemmChunkLen chunk of l, as gemmBatched does.
+ */
+void gemmPanels(GemmTileFn tile, int64_t m, int64_t n, int64_t len,
+                const float *x, const float *panels, const float *bias,
+                float *out);
 
 /**
  * dst[c * ldd + r] = src[r * lds + c] for r in [0, rows), c in

@@ -26,29 +26,53 @@ namespace vitdyn
 namespace kernels
 {
 
+namespace
+{
+
+/**
+ * The scalar tile's rows, l-outer / j-inner with a stack accumulator
+ * row. JB > 0 fixes the column count at compile time (a full weight
+ * panel), so the compiler can keep the row in registers; JB == 0 reads
+ * it from @p jb.
+ */
+template <int64_t JB>
 void
-gemmTileScalar(const float *w, int64_t ldw, const float *col, int64_t ldc,
+scalarTileRows(const float *w, int64_t ldw, const float *col, int64_t ldc,
                float *out, int64_t ldo, int64_t kb, int64_t jb,
                int64_t len)
 {
-    // l-outer / j-inner with a stack accumulator row: the same
-    // blocked-GEMM structure (and the same per-element ascending-l,
-    // mul-then-add arithmetic) as the seed conv2dIm2col inner loop.
-    float acc[kMaxGemmTileCols];
+    const int64_t n = JB > 0 ? JB : jb;
+    float acc[JB > 0 ? JB : kMaxGemmTileCols];
     for (int64_t i = 0; i < kb; ++i) {
         float *orow = out + i * ldo;
-        for (int64_t j = 0; j < jb; ++j)
+        for (int64_t j = 0; j < n; ++j)
             acc[j] = orow[j];
         const float *wr = w + i * ldw;
         for (int64_t l = 0; l < len; ++l) {
             const float a = wr[l];
             const float *crow = col + l * ldc;
-            for (int64_t j = 0; j < jb; ++j)
+            for (int64_t j = 0; j < n; ++j)
                 acc[j] += a * crow[j];
         }
-        for (int64_t j = 0; j < jb; ++j)
+        for (int64_t j = 0; j < n; ++j)
             orow[j] = acc[j];
     }
+}
+
+} // namespace
+
+void
+gemmTileScalar(const float *w, int64_t ldw, const float *col, int64_t ldc,
+               float *out, int64_t ldo, int64_t kb, int64_t jb,
+               int64_t len)
+{
+    // The same blocked-GEMM structure (and the same per-element
+    // ascending-l, mul-then-add arithmetic) as the seed conv2dIm2col
+    // inner loop. A 32-column block is one full linear weight panel.
+    if (jb == 32)
+        scalarTileRows<32>(w, ldw, col, ldc, out, ldo, kb, jb, len);
+    else
+        scalarTileRows<0>(w, ldw, col, ldc, out, ldo, kb, jb, len);
 }
 
 void
@@ -87,7 +111,20 @@ dequantizeScalar(const int8_t *q, float scale, float *out, int64_t n)
 void
 geluScalarSpan(const float *x, float *y, int64_t n)
 {
-    for (int64_t i = 0; i < n; ++i)
+    // Four elements in lockstep: each runs its own copy of the scalar
+    // sequence, and the four dependency chains overlap their latencies
+    // (the chain is latency-bound, as in the SIMD bodies).
+    using Quad = lanes::Twice<lanes::Twice<float>>;
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const Quad g =
+            lanes::geluLanes(Quad({x[i], x[i + 1]}, {x[i + 2], x[i + 3]}));
+        y[i] = g.lo.lo;
+        y[i + 1] = g.lo.hi;
+        y[i + 2] = g.hi.lo;
+        y[i + 3] = g.hi.hi;
+    }
+    for (; i < n; ++i)
         y[i] = lanes::geluLanes(x[i]);
 }
 

@@ -166,7 +166,8 @@ struct Microkernels
      * allowed. The SIMD bodies run tanh_lanes.hh's port of fdlibm's
      * tanhf in every lane — the scalar code's exact sequence of IEEE
      * operations, with no FMA — and hand the 1 to lanes-1 element
-     * tail to geluScalar(), so every ISA is memcmp-identical to it.
+     * tail to kernels::geluScalarSpan(), so every ISA is
+     * memcmp-identical to geluScalar().
      */
     void (*geluF32)(const float *x, float *y, int64_t n);
 
@@ -218,6 +219,10 @@ void depthwiseAxpy(const DepthwiseGeom &g, const float *in,
                    int64_t in_stride, const float *wk, const float *bias,
                    float *out, int64_t planes,
                    void (*axpy)(float, const float *, float *, int64_t));
+
+/** Scalar reference of Microkernels::geluF32, four elements in
+ *  lockstep; the SIMD sets run it on their 1 to lanes-1 tail. */
+void geluScalarSpan(const float *x, float *y, int64_t n);
 
 /** Scalar reference of Microkernels::bilinearF32. */
 void bilinearScalar(const BilinearTaps &t, const float *in, float *out,

@@ -126,18 +126,24 @@ shl23(Int1 a)
 inline Int1
 srlv(Int1 a, Int1 n)
 {
+    // Branch-free, as select() below: shifts past 31 give 0.
     const auto s = static_cast<uint32_t>(n.v);
-    return wrap(s > 31 ? 0u : static_cast<uint32_t>(a.v) >> s);
+    return wrap((static_cast<uint32_t>(a.v) >> (s & 31u)) &
+                (0u - static_cast<uint32_t>(s <= 31u)));
+}
+/** Selects by bit mask, so the compiler emits no branch: a lane's
+ *  compare outcomes are data-dependent and would mispredict. */
+inline Int1
+select(bool m, Int1 a, Int1 b)
+{
+    const uint32_t mask = 0u - static_cast<uint32_t>(m);
+    return wrap((static_cast<uint32_t>(a.v) & mask) |
+                (static_cast<uint32_t>(b.v) & ~mask));
 }
 inline float
 select(bool m, float a, float b)
 {
-    return m ? a : b;
-}
-inline Int1
-select(bool m, Int1 a, Int1 b)
-{
-    return m ? a : b;
+    return floatOf(select(m, bitsOf(a), bitsOf(b)));
 }
 
 /**
@@ -372,8 +378,8 @@ geluLanes(F v)
  * in [0, n), with @p x == @p y allowed. F's lanes run four vectors at
  * a time in lockstep (the chain is latency-bound, and four
  * independent chains roughly halve its cost per element over one),
- * then one vector at a time; the scalar reference geluScalar() takes
- * the last 1 to F::kWidth - 1 elements.
+ * then one vector at a time; the scalar span kernels::geluScalarSpan()
+ * takes the last 1 to F::kWidth - 1 elements.
  */
 template <class F>
 inline void
@@ -385,8 +391,7 @@ geluSpan(const float *x, float *y, int64_t n)
         geluLanes(Quad::load(x + i)).store(y + i);
     for (; i + F::kWidth <= n; i += F::kWidth)
         geluLanes(F::load(x + i)).store(y + i);
-    for (; i < n; ++i)
-        y[i] = geluScalar(x[i]);
+    kernels::geluScalarSpan(x + i, y + i, n - i);
 }
 
 } // namespace lanes

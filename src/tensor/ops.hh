@@ -11,7 +11,10 @@
  *  - Feature maps: NCHW.
  *  - Sequences:    (N, L, C) with L = tokens, C = embedding dim.
  *  - Conv weights: (K, C, R, S) = (out channels, in channels, kh, kw).
- *  - Linear weights: (out_features, in_features), y = x W^T + b.
+ *  - Linear weights: (out_features, in_features), y = x W^T + b. The
+ *    model's resident copy is packed (packLinearWeight): column panels
+ *    of W^T, each a contiguous (in_features, 32) block of 32 output
+ *    features, which the GEMM tile streams as its vector operand.
  */
 
 #ifndef VITDYN_TENSOR_OPS_HH
@@ -141,18 +144,61 @@ Conv2dPlan conv2dAutoPlan(const Shape &input_shape,
                           const Conv2dParams &params = {});
 
 /**
- * Fully connected layer over the last dimension.
+ * A Linear weight (out_features, in_features) as column panels of W^T
+ * (gemm.hh's packPanels): shape (ceil(out_features / 32), in_features,
+ * 32), panel p holding output features 32p .. 32p+31 with every
+ * in_features entry of one feature in one column, zero past the last
+ * feature. The one resident form of a model's Linear weights.
+ */
+Tensor packLinearWeight(const Tensor &weight);
+
+/**
+ * packLinearWeight(Tensor::heInit({out_f, in_f}, rng, in_f)), drawing
+ * the same numbers from @p rng in the same order, but holding only one
+ * panel's 32 rows unpacked at a time: a model's weights are synthesized
+ * straight into panels, with no full-size [out, in] copy to allocate,
+ * fault in and transpose.
+ */
+Tensor heInitLinearWeight(int64_t out_f, int64_t in_f, Rng &rng);
+
+/** Inverse of packLinearWeight: the (out_f, in_features) weight. */
+Tensor unpackLinearWeight(const Tensor &panels, int64_t out_f);
+
+/**
+ * The leading (out_f, in_f) block of a packed weight, packed: the first
+ * out_f features are the leading columns of the leading panels, their
+ * first in_f entries the leading rows of each panel. Equal to
+ * packLinearWeight of the sliced unpacked weight (a pruned layer's
+ * weights).
+ */
+Tensor sliceLinearWeight(const Tensor &panels, int64_t out_f, int64_t in_f);
+
+/**
+ * Fully connected layer over the last dimension, on a weight packed
+ * by packLinearWeight.
  * @param input  (..., in_features)
- * @param weight (out_features, in_features)
- * @param bias   (out_features) or empty.
+ * @param panels packLinearWeight(W) for W (out_f, in_features)
+ * @param bias   (out_f) or empty.
  *
- * Runs on the shared GEMM driver (tensor/gemm.hh) as
- * Y^T = W X^T + b, memcmp-identical to the scalar loop
- * y[r][o] = b[o] + sum over ascending i of x[r][i] * W[o][i].
+ * Runs on the GEMM driver's panel layout (gemmPanels) as Y = X W^T + b
+ * with X and Y read and written in place, memcmp-identical to the
+ * scalar loop y[r][o] = b[o] + sum over ascending i of x[r][i] * W[o][i].
+ */
+Tensor linear(const Tensor &input, const Tensor &panels, int64_t out_f,
+              const Tensor &bias);
+
+/** Packed linear() on an explicit microkernel set (parity tests). */
+Tensor linear(const Tensor &input, const Tensor &panels, int64_t out_f,
+              const Tensor &bias, const Microkernels &mk);
+
+/**
+ * linear() on an unpacked (out_features, in_features) weight: packs
+ * it, then runs the packed entry (tests and benches; a model keeps its
+ * weights packed).
  */
 Tensor linear(const Tensor &input, const Tensor &weight, const Tensor &bias);
 
-/** linear() on an explicit microkernel set (parity tests, benches). */
+/** Unpacked linear() on an explicit microkernel set. */
 Tensor linear(const Tensor &input, const Tensor &weight, const Tensor &bias,
               const Microkernels &mk);
 

@@ -14,6 +14,105 @@
 namespace vitdyn
 {
 
+namespace
+{
+
+void
+checkPanels(const Tensor &panels, int64_t out_f)
+{
+    vitdyn_assert(panels.rank() == 3 &&
+                      panels.dim(0) == gemmPanelCount(out_f) &&
+                      panels.dim(2) == kGemmPanelCols,
+                  "packed linear weight ", shapeToString(panels.shape()),
+                  " does not hold ", out_f, " features");
+}
+
+} // namespace
+
+Tensor
+packLinearWeight(const Tensor &weight)
+{
+    vitdyn_assert(weight.rank() == 2, "linear weight must be rank 2");
+    const int64_t out_f = weight.dim(0);
+    const int64_t in_f = weight.dim(1);
+    Tensor panels({gemmPanelCount(out_f), in_f, kGemmPanelCols});
+    packPanels(weight.data(), out_f, in_f, panels.data());
+    return panels;
+}
+
+Tensor
+heInitLinearWeight(int64_t out_f, int64_t in_f, Rng &rng)
+{
+    Tensor panels({gemmPanelCount(out_f), in_f, kGemmPanelCols});
+    for (int64_t p = 0; p < panels.dim(0); ++p) {
+        const int64_t rows =
+            std::min(kGemmPanelCols, out_f - p * kGemmPanelCols);
+        const Tensor w = Tensor::heInit({rows, in_f}, rng, in_f);
+        packPanels(w.data(), rows, in_f,
+                   panels.data() + p * in_f * kGemmPanelCols);
+    }
+    return panels;
+}
+
+Tensor
+unpackLinearWeight(const Tensor &panels, int64_t out_f)
+{
+    checkPanels(panels, out_f);
+    const int64_t in_f = panels.dim(1);
+    Tensor weight({out_f, in_f});
+    unpackPanels(panels.data(), out_f, in_f, weight.data());
+    return weight;
+}
+
+Tensor
+sliceLinearWeight(const Tensor &panels, int64_t out_f, int64_t in_f)
+{
+    vitdyn_assert(panels.rank() == 3 &&
+                      panels.dim(0) >= gemmPanelCount(out_f) &&
+                      panels.dim(1) >= in_f &&
+                      panels.dim(2) == kGemmPanelCols,
+                  "packed linear weight ", shapeToString(panels.shape()),
+                  " has no ", out_f, " x ", in_f, " block");
+    Tensor out({gemmPanelCount(out_f), in_f, kGemmPanelCols});
+    for (int64_t p = 0; p < out.dim(0); ++p) {
+        const int64_t cols =
+            std::min(kGemmPanelCols, out_f - p * kGemmPanelCols);
+        for (int64_t i = 0; i < in_f; ++i)
+            std::copy_n(panels.data() +
+                            (p * panels.dim(1) + i) * kGemmPanelCols,
+                        cols, out.data() + (p * in_f + i) * kGemmPanelCols);
+    }
+    return out;
+}
+
+Tensor
+linear(const Tensor &input, const Tensor &panels, int64_t out_f,
+       const Tensor &bias)
+{
+    return linear(input, panels, out_f, bias, activeKernels());
+}
+
+Tensor
+linear(const Tensor &input, const Tensor &panels, int64_t out_f,
+       const Tensor &bias, const Microkernels &mk)
+{
+    checkPanels(panels, out_f);
+    const int64_t in_f = panels.dim(1);
+    vitdyn_assert(input.rank() >= 1 && input.dim(-1) == in_f,
+                  "linear input last dim ", input.dim(-1),
+                  " != in_features ", in_f);
+    vitdyn_assert(bias.numel() == 0 || bias.numel() == out_f,
+                  "linear bias size mismatch");
+
+    Shape out_shape = input.shape();
+    out_shape.back() = out_f;
+    Tensor out(out_shape);
+    gemmPanels(mk.gemmTileExact, input.numel() / in_f, out_f, in_f,
+               input.data(), panels.data(),
+               bias.numel() ? bias.data() : nullptr, out.data());
+    return out;
+}
+
 Tensor
 linear(const Tensor &input, const Tensor &weight, const Tensor &bias)
 {
@@ -24,42 +123,7 @@ Tensor
 linear(const Tensor &input, const Tensor &weight, const Tensor &bias,
        const Microkernels &mk)
 {
-    vitdyn_assert(weight.rank() == 2, "linear weight must be rank 2");
-    const int64_t in_f = weight.dim(1);
-    const int64_t out_f = weight.dim(0);
-    vitdyn_assert(input.rank() >= 1 && input.dim(-1) == in_f,
-                  "linear input last dim ", input.dim(-1),
-                  " != in_features ", in_f);
-    vitdyn_assert(bias.numel() == 0 || bias.numel() == out_f,
-                  "linear bias size mismatch");
-
-    const int64_t rows = input.numel() / in_f;
-    Shape out_shape = input.shape();
-    out_shape.back() = out_f;
-    Tensor out(out_shape);
-
-    // Y^T(out_f, rows) = W(out_f, in_f) x X^T(in_f, rows) + b: the bias
-    // is per W row, and element (o, r) starts at b[o] and accumulates
-    // x[r][i] * W[o][i] over ascending i, the scalar dot loop's exact
-    // arithmetic. W is read in place; X^T is built up front and each
-    // finished Y^T block is transposed into Y while still in cache.
-    std::unique_ptr<float[]> xt(new float[in_f * rows]);
-    std::unique_ptr<float[]> yt(new float[out_f * rows]);
-    const float *x = input.data();
-    parallelFor(0, rows, grainForFlops(in_f), [&](int64_t r0, int64_t r1) {
-        transposeBlock(x + r0 * in_f, in_f, r1 - r0, in_f, xt.get() + r0,
-                       rows);
-    });
-    float *y = out.data();
-    gemm(mk.gemmTileExact, {out_f, rows, in_f, in_f, rows, rows},
-         {weight.data(), xt.get(), bias.numel() ? bias.data() : nullptr,
-          yt.get()},
-         kDefaultGemmColBlock,
-         [&](int64_t, int64_t o0, int64_t o1, int64_t r0, int64_t r1) {
-        transposeBlock(yt.get() + o0 * rows + r0, rows, o1 - o0, r1 - r0,
-                       y + r0 * out_f + o0, out_f);
-    });
-    return out;
+    return linear(input, packLinearWeight(weight), weight.dim(0), bias, mk);
 }
 
 Tensor

@@ -50,6 +50,51 @@ TEST(Linear, FeatureMismatchPanics)
     Tensor x({1, 3});
     Tensor w({2, 4});
     EXPECT_DEATH(linear(x, w, Tensor{}), "in_features");
+    EXPECT_DEATH(linear(x, packLinearWeight(w), 40, Tensor{}), "features");
+}
+
+TEST(Linear, PackUnpackRoundTrip)
+{
+    // Panel tails (out_f off 32), one-wide and multi-chunk in_f.
+    Rng rng(5);
+    for (int64_t out_f : {1, 8, 31, 32, 33, 65})
+        for (int64_t in_f : {1, 7, 300}) {
+            Tensor w = Tensor::randn({out_f, in_f}, rng);
+            const Tensor panels = packLinearWeight(w);
+            ASSERT_EQ(panels.shape(),
+                      (Shape{(out_f + 31) / 32, in_f, kGemmPanelCols}));
+            // Panel p, row i, column c holds W[32p + c][i]; 0 past out_f.
+            for (int64_t p = 0; p < panels.dim(0); ++p)
+                for (int64_t i = 0; i < in_f; ++i)
+                    for (int64_t c = 0; c < kGemmPanelCols; ++c) {
+                        const int64_t o = p * kGemmPanelCols + c;
+                        const float want = o < out_f ? w.at2(o, i) : 0.0f;
+                        const float got = panels.at3(p, i, c);
+                        ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+                            << "out_f " << out_f << " in_f " << in_f
+                            << " panel " << p << " row " << i << " col "
+                            << c;
+                    }
+            EXPECT_TRUE(bitIdentical(w, unpackLinearWeight(panels, out_f)))
+                << "out_f " << out_f << " in_f " << in_f;
+        }
+}
+
+TEST(Linear, HeInitPanelsEqualPackingTheDraw)
+{
+    // Same numbers, same order, same Rng state afterwards (an odd draw
+    // count leaves half a Box-Muller pair cached); out_f 70 ends in a
+    // partial panel.
+    for (int64_t out_f : {1, 32, 70})
+        for (int64_t in_f : {1, 7, 64}) {
+            Rng a(9), b(9);
+            const Tensor want =
+                packLinearWeight(Tensor::heInit({out_f, in_f}, a, in_f));
+            EXPECT_TRUE(
+                bitIdentical(want, heInitLinearWeight(out_f, in_f, b)))
+                << "out_f " << out_f << " in_f " << in_f;
+            EXPECT_EQ(a.normal(), b.normal());
+        }
 }
 
 TEST(Matmul, Identity)
@@ -258,9 +303,11 @@ TEST_P(GemmParityTest, LinearMatchesScalarLoop)
     };
     // Rows 1-3 and out_f < 8 (the old scalar fork), in_f off every
     // vector width, batched (N, L, C) rows, an empty bias, a shape
-    // wide enough for full tiles and several column blocks, and in_f
-    // past the GEMM driver's accumulation chunk.
-    const Case cases[] = {
+    // wide enough for full tiles and several column blocks, in_f
+    // past the GEMM driver's accumulation chunk, and SegFormer-B2's
+    // shapes at 96x96 (2048-wide outputs, in_f of 1280 and 2048 over
+    // several chunks, 9-row tiles, more rows than one task's block).
+    std::vector<Case> cases = {
         {{1, 13}, 5, true},       {{2, 13}, 7, true},
         {{3, 37}, 3, false},      {{1, 1, 64}, 8, true},
         {{4, 9}, 17, true},       {{2, 7, 13}, 19, false},
@@ -269,41 +316,71 @@ TEST_P(GemmParityTest, LinearMatchesScalarLoop)
         {{5, kGemmChunkLen}, 11, false},
         {{3, kGemmChunkLen + 1}, 7, false},
         {{40, 2 * kGemmChunkLen + 3}, 13, true},
+        {{1, 9, 512}, 2048, true},  {{1, 9, 2048}, 512, true},
+        {{1, 36, 320}, 1280, true}, {{1, 36, 1280}, 320, true},
+        {{1, 576, 64}, 768, true},
     };
+    // Panel tails (out_f off and on 32) under every tile row tail.
+    for (int64_t rows = 1; rows <= 13; ++rows)
+        for (int64_t out_f : {8, 16, 24, 31, 32, 33, 65})
+            cases.push_back({{rows, 19}, out_f, rows % 2 == 1});
     Rng rng(71);
     for (const Case &tc : cases) {
         const int64_t in_f = tc.x.back();
         Tensor x = Tensor::randn(tc.x, rng);
         Tensor w = Tensor::randn({tc.out_f, in_f}, rng);
         Tensor b = tc.bias ? Tensor::randn({tc.out_f}, rng) : Tensor{};
+        const Tensor panels = packLinearWeight(w);
         const Tensor want = linearOracle(x, w, b);
-        for (IsaLevel isa : availableIsas())
+        for (IsaLevel isa : availableIsas()) {
             EXPECT_TRUE(bitIdentical(want, linear(x, w, b, kernelsFor(isa))))
                 << "x " << shapeToString(tc.x) << " out_f " << tc.out_f
                 << " isa " << isaName(isa);
+            EXPECT_TRUE(bitIdentical(
+                want, linear(x, panels, tc.out_f, b, kernelsFor(isa))))
+                << "packed, x " << shapeToString(tc.x) << " out_f "
+                << tc.out_f << " isa " << isaName(isa);
+        }
         EXPECT_TRUE(bitIdentical(want, linear(x, w, b)));
+        EXPECT_TRUE(bitIdentical(want, linear(x, panels, tc.out_f, b)));
     }
 }
 
 TEST_P(GemmParityTest, LinearSpecialValuesMatchScalarLoop)
 {
+    // Specials in X, then in X and W, through both entries; out_f 9
+    // and 37 leave a panel tail.
     Rng rng(73);
     for (const NanFlavor &f : nanFlavors())
         for (const Shape &xs : {Shape{1, 11}, Shape{3, 11}, Shape{2, 6, 11},
-                                Shape{40, 11}}) {
-            Tensor x = Tensor::randn(xs, rng);
-            Tensor w = Tensor::randn({9, 11}, rng);
-            Tensor b = Tensor::randn({9}, rng);
-            addSpecials(x, f.nan);
-            w[5] = -0.0f;
-            b[2] = -0.0f;
-            const Tensor want = linearOracle(x, w, b);
-            for (IsaLevel isa : availableIsas())
-                EXPECT_TRUE(bitIdentical(
-                    want, linear(x, w, b, kernelsFor(isa)), f.nanBits))
-                    << "x " << shapeToString(xs) << " isa " << isaName(isa)
-                    << " nan bits " << f.nanBits;
-        }
+                                Shape{40, 11}, Shape{60, 11}})
+            for (int64_t out_f : {9, 37})
+                for (bool specials_in_w : {false, true}) {
+                    Tensor x = Tensor::randn(xs, rng);
+                    Tensor w = Tensor::randn({out_f, 11}, rng);
+                    Tensor b = Tensor::randn({out_f}, rng);
+                    addSpecials(x, f.nan);
+                    if (specials_in_w)
+                        addSpecials(w, f.nan);
+                    w[5] = -0.0f;
+                    b[2] = -0.0f;
+                    const Tensor panels = packLinearWeight(w);
+                    const Tensor want = linearOracle(x, w, b);
+                    for (IsaLevel isa : availableIsas()) {
+                        const Microkernels &mk = kernelsFor(isa);
+                        EXPECT_TRUE(bitIdentical(want, linear(x, w, b, mk),
+                                                 f.nanBits))
+                            << "x " << shapeToString(xs) << " out_f "
+                            << out_f << " isa " << isaName(isa)
+                            << " nan bits " << f.nanBits;
+                        EXPECT_TRUE(bitIdentical(
+                            want, linear(x, panels, out_f, b, mk),
+                            f.nanBits))
+                            << "packed, x " << shapeToString(xs)
+                            << " out_f " << out_f << " isa " << isaName(isa)
+                            << " nan bits " << f.nanBits;
+                    }
+                }
 }
 
 struct AttnCase

@@ -16,6 +16,8 @@
 #include "graph/executor.hh"
 #include "graph/weight_store.hh"
 #include "obs/metrics.hh"
+#include "tensor/gemm.hh"
+#include "tensor/ops.hh"
 #include "util/random.hh"
 
 namespace vitdyn
@@ -143,6 +145,44 @@ TEST(WeightStore, PrunedSliceIsCachedAndMatchesFullPrefix)
     WeightStore::Stats stats = store.stats();
     EXPECT_EQ(stats.fullEntries, 1u);
     EXPECT_EQ(stats.sliceEntries, 1u);
+}
+
+TEST(WeightStore, LinearEntryHoldsOnePackedCopy)
+{
+    // 64 output features fill two panels exactly, so the packed weight
+    // is the only copy and adds no padding.
+    Graph g = tinyMixedGraph(8, 64);
+    const Layer &fc = g.layer(g.findLayer("fc1"));
+    WeightStore store;
+    SharedLayerWeights lw = store.get(1, fc, 0, 0);
+    EXPECT_EQ(lw.weight->shape(), (Shape{2, 8, kGemmPanelCols}));
+    EXPECT_EQ(lw.bias->shape(), (Shape{64}));
+    EXPECT_EQ(store.stats().bytes, (64 * 8 + 64) * sizeof(float));
+}
+
+TEST(WeightStore, PrunedLinearSliceEqualsPackingTheSlicedWeight)
+{
+    // Full 70 x 8, served pruned to 37 x 5: both dims cut, and both
+    // the full and the sliced weight end in a partial panel.
+    Graph g = tinyMixedGraph(8, 70);
+    Graph pruned = tinyMixedGraph(8, 70);
+    pruned.layer(pruned.findLayer("fc1")).attrs.outFeatures = 37;
+    pruned.layer(pruned.findLayer("fc1")).attrs.inFeatures = 5;
+    WeightStore store;
+    SharedLayerWeights full =
+        store.get(7, g.layer(g.findLayer("fc1")), 70, 8);
+    SharedLayerWeights slice =
+        store.get(7, pruned.layer(pruned.findLayer("fc1")), 70, 8);
+
+    const Tensor w = unpackLinearWeight(*full.weight, 70);
+    Tensor sliced({37, 5});
+    for (int64_t o = 0; o < 37; ++o)
+        for (int64_t i = 0; i < 5; ++i)
+            sliced.at2(o, i) = w.at2(o, i);
+    expectBitIdentical(*slice.weight, packLinearWeight(sliced));
+    ASSERT_EQ(slice.bias->numel(), 37);
+    for (int64_t o = 0; o < 37; ++o)
+        EXPECT_EQ((*slice.bias)[o], (*full.bias)[o]);
 }
 
 TEST(WeightStore, ExecutorParityAcrossStoresFp32AndInt8)

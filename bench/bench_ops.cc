@@ -54,8 +54,10 @@ timeMs(const std::function<Tensor()> &fn, Tensor *out = nullptr)
  * The before/after table the threading work is judged on: the
  * SegFormer-B2 decoder Conv2DFuse layer (1x1 conv fusing the four
  * upsampled stage embeddings, C = 4*768 = 3072 -> K = 768) timed
- * sequentially, threaded, and through the im2col/GEMM fast path.
- * Outputs are checked bit-identical across all variants.
+ * sequentially, threaded, and through the im2col/GEMM fast path, once
+ * on the KCRS weight (packed on every call) and once on the packed
+ * weight a model's store holds. Outputs are checked bit-identical
+ * across all variants.
  */
 void
 conv2dFuseTable()
@@ -77,14 +79,19 @@ conv2dFuseTable()
         [&] { return conv2d(x, w, b, p, Conv2dAlgo::Direct); }, &y);
     const bool par_ok = std::memcmp(ref.data(), y.data(),
                                     sizeof(float) * ref.numel()) == 0;
-    Conv2dWorkspace ws;
-    const double gemm_cold_ms = timeMs(
-        [&] { return conv2d(x, w, b, p, Conv2dAlgo::Im2col, &ws); }, &y);
+    Conv2dPlan plan;
+    plan.algo = Conv2dAlgo::Im2col;
+    plan.isa = activeIsa();
+    const double gemm_kcrs_ms =
+        timeMs([&] { return conv2d(x, w, b, p, plan); }, &y);
     const bool gemm_ok = std::memcmp(ref.data(), y.data(),
                                      sizeof(float) * ref.numel()) == 0;
-    // Warm workspace: what the Executor sees from frame 2 onward.
+    // The packed weight: what the Executor runs on every frame.
+    const Tensor packed = packConvWeight(w);
     const double gemm_ms = timeMs(
-        [&] { return conv2d(x, w, b, p, Conv2dAlgo::Im2col, &ws); });
+        [&] { return conv2dPacked(x, packed, b, p, plan); }, &y);
+    const bool packed_ok = std::memcmp(ref.data(), y.data(),
+                                       sizeof(float) * ref.numel()) == 0;
 
     auto row = [&](const char *name, int t, double ms, bool exact) {
         return std::vector<std::string>{
@@ -98,9 +105,9 @@ conv2dFuseTable()
                  "bit-identical"});
     table.addRow(row("direct sequential", 1, seq_ms, true));
     table.addRow(row("direct threaded", threads, par_ms, par_ok));
+    table.addRow(row("im2col KCRS weight", threads, gemm_kcrs_ms, gemm_ok));
     table.addRow(
-        row("im2col cold workspace", threads, gemm_cold_ms, gemm_ok));
-    table.addRow(row("im2col warm workspace", threads, gemm_ms, gemm_ok));
+        row("im2col packed weight", threads, gemm_ms, packed_ok));
     emitTable(table, "bench_ops_conv2dfuse");
 }
 
@@ -448,11 +455,11 @@ BM_Conv2d3x3(benchmark::State &state)
     const int64_t c = state.range(0);
     Rng rng(1);
     Tensor x = Tensor::randn({1, c, 32, 32}, rng);
-    Tensor w = Tensor::randn({c, c, 3, 3}, rng);
+    const Tensor w = packConvWeight(Tensor::randn({c, c, 3, 3}, rng));
     Conv2dParams p;
     p.padH = p.padW = 1;
     for (auto _ : state)
-        benchmark::DoNotOptimize(conv2d(x, w, Tensor{}, p).numel());
+        benchmark::DoNotOptimize(conv2dPacked(x, w, Tensor{}, p).numel());
     state.SetItemsProcessed(state.iterations() * 32 * 32 * c * c * 9);
 }
 BENCHMARK(BM_Conv2d3x3)->Arg(16)->Arg(64);
@@ -469,12 +476,12 @@ BM_Conv2dDepthwise(benchmark::State &state)
     const int64_t c = state.range(0);
     const int64_t side = state.range(1);
     Tensor x = Tensor::randn({1, c, side, side}, rng);
-    Tensor w = Tensor::randn({c, 1, 3, 3}, rng);
+    const Tensor w = packConvWeight(Tensor::randn({c, 1, 3, 3}, rng));
     Conv2dParams p;
     p.padH = p.padW = 1;
     p.groups = c;
     for (auto _ : state)
-        benchmark::DoNotOptimize(conv2d(x, w, Tensor{}, p).numel());
+        benchmark::DoNotOptimize(conv2dPacked(x, w, Tensor{}, p).numel());
 }
 BENCHMARK(BM_Conv2dDepthwise)
     ->Args({128, 32})
@@ -499,14 +506,16 @@ BM_Conv2dDirect(benchmark::State &state)
     const int64_t side = state.range(2);
     const int64_t kernel = state.range(3);
     Tensor x = Tensor::randn({1, c, side, side}, rng);
-    Tensor w = Tensor::randn({k, c, kernel, kernel}, rng);
+    const Tensor w =
+        packConvWeight(Tensor::randn({k, c, kernel, kernel}, rng));
     Tensor b = Tensor::randn({k}, rng);
     Conv2dParams p;
     p.strideH = p.strideW = state.range(4);
     p.padH = p.padW = state.range(5);
+    Conv2dPlan direct;
+    direct.isa = activeIsa();
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            conv2d(x, w, b, p, Conv2dAlgo::Direct).numel());
+        benchmark::DoNotOptimize(conv2dPacked(x, w, b, p, direct).numel());
 }
 BENCHMARK(BM_Conv2dDirect)
     ->Args({8, 8, 16, 8, 8, 0})

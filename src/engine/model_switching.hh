@@ -85,7 +85,7 @@ class ModelSwitchingEngine
      * Executor for a selected choice, served from the shared
      * PathCache keyed by the choice's position in the variants
      * followed by the candidates — the switch hot path. A cache hit
-     * returns the resident executor (conv workspaces intact, zero
+     * returns the resident executor (tuned plans intact, zero
      * weight work); a miss builds the graph, warms its weights
      * through the shared WeightStore, and evicts the
      * least-recently-used entry beyond the capacity. Shared

@@ -40,8 +40,8 @@ namespace vitdyn
 struct PathCacheOptions
 {
     /**
-     * Max execution paths kept materialized (graph + executor + conv
-     * workspaces). 0 means unbounded: every path used stays resident.
+     * Max execution paths kept materialized (graph + executor and its
+     * per-layer state). 0 means unbounded: every path used stays resident.
      * A bounded cache evicts the least-recently-acquired path; note
      * eviction also discards any persistent weight damage injected
      * into that path's executor (the replacement re-reads pristine

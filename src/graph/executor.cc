@@ -31,10 +31,23 @@ HealthReport::summary() const
     return s;
 }
 
+namespace
+{
+
+/** A Conv2d layer's stride, padding and groups. */
+Conv2dParams
+convParams(const LayerAttrs &a)
+{
+    return {a.strideH, a.strideW, a.padH, a.padW, a.groups};
+}
+
+} // namespace
+
 Executor::Executor(const Graph &graph, uint64_t seed, WeightStore *store)
     : graph_(graph), seed_(seed),
       store_(store != nullptr ? store : &WeightStore::instance()),
-      certifiedPeakBytes_(analysis::certifiedPeakBytes(graph))
+      certifiedPeakBytes_(analysis::certifiedPeakBytes(graph)),
+      layers_(graph.numLayers())
 {
 }
 
@@ -55,24 +68,25 @@ Executor::mutateWeights(const std::string &layer_name,
             return false;
         }
         weightsFor(layer); // fetch into the cache if not yet done
-        SharedLayerWeights &lw = cache_.at(layer.id);
+        SharedLayerWeights &lw = layers_[layer.id].weights;
         if (lw.weight->numel() == 0)
             return false;
         // Copy-on-write: the store's tensor is shared with every other
         // executor of this model family; clone before damaging it so
-        // the fault stays local to this execution path. A Linear
-        // weight is damaged in its [out, in] form and packed again.
-        const bool packed = layer.kind == LayerKind::Linear;
-        const int64_t out_f = layer.attrs.outFeatures;
+        // the fault stays local to this execution path. Linear and
+        // conv weights are damaged unpacked and packed again.
+        const LayerKind kind = layer.kind;
         Tensor damaged =
-            packed ? unpackLinearWeight(*lw.weight, out_f) : *lw.weight;
+            kind == LayerKind::Linear
+                ? unpackLinearWeight(*lw.weight, layer.attrs.outFeatures)
+            : kind == LayerKind::Conv2d ? unpackConvWeight(*lw.weight)
+                                        : *lw.weight;
         fn(damaged);
-        lw.weight = std::make_shared<const Tensor>(
-            packed ? packLinearWeight(damaged) : std::move(damaged));
-        // The conv workspace may cache a repacked copy of the weights;
-        // drop it so the mutation is visible to the next run.
-        if (auto ws = convWs_.find(layer.id); ws != convWs_.end())
-            ws->second.invalidate();
+        if (kind == LayerKind::Linear)
+            damaged = packLinearWeight(damaged);
+        else if (kind == LayerKind::Conv2d)
+            damaged = packConvWeight(damaged);
+        lw.weight = std::make_shared<const Tensor>(std::move(damaged));
         return true;
     }
     return false;
@@ -124,18 +138,12 @@ Executor::tuneConvPlans()
         const LayerAttrs &a = layer.attrs;
         const Shape w_shape = {a.outChannels, a.inChannels / a.groups,
                                a.kernelH, a.kernelW};
-        Conv2dParams p;
-        p.strideH = a.strideH;
-        p.strideW = a.strideW;
-        p.padH = a.padH;
-        p.padW = a.padW;
-        p.groups = a.groups;
-        const Conv2dShapeKey key = Conv2dShapeKey::of(in_shape, w_shape, p);
+        const Conv2dShapeKey key =
+            Conv2dShapeKey::of(in_shape, w_shape, convParams(a));
         if (key.flops() <= 0)
             continue;
-        Conv2dWorkspace &ws = convWs_[layer.id];
-        ws.plan = ConvPlanCache::instance().plan(key, autotune_);
-        ws.hasPlan = true;
+        layers_[layer.id].convPlan =
+            ConvPlanCache::instance().plan(key, autotune_);
         ++tuned;
     }
     if (span.active())
@@ -182,32 +190,32 @@ Executor::setFullDims(const std::string &layer_name, int64_t full_out,
 const SharedLayerWeights &
 Executor::weightsFor(const Layer &layer)
 {
-    auto it = cache_.find(layer.id);
-    if (it != cache_.end())
-        return it->second;
+    SharedLayerWeights &lw = layers_[layer.id].weights;
+    if (!lw.weight)
+        lw = fetch(layer);
+    return lw;
+}
 
+SharedLayerWeights
+Executor::fetch(const Layer &layer) const
+{
     // Full (unpruned) dimensions: default to the layer's own, override
     // from the registered full model dims so pruned graphs share weights.
-    int64_t full_out = 0;
-    int64_t full_in = 0;
-    if (auto fit = fullDims_.find(layer.name); fit != fullDims_.end()) {
-        full_out = fit->second.first;
-        full_in = fit->second.second;
-    }
-
-    return cache_
-        .emplace(layer.id, store_->get(seed_, layer, full_out, full_in))
-        .first->second;
+    const auto fit = fullDims_.find(layer.name);
+    return fit == fullDims_.end()
+               ? store_->get(seed_, layer, 0, 0)
+               : store_->get(seed_, layer, fit->second.first,
+                             fit->second.second);
 }
 
 const Executor::ConvEpilogue &
 Executor::epilogueFor(const Layer &layer)
 {
-    auto it = epilogues_.find(layer.id);
-    if (it != epilogues_.end())
-        return it->second;
+    std::optional<ConvEpilogue> &slot = layers_[layer.id].epilogue;
+    if (slot)
+        return *slot;
 
-    ConvEpilogue ep;
+    ConvEpilogue &ep = slot.emplace();
     if (layer.fused.bn) {
         // Proxy descriptor for the original BatchNorm layer: same
         // name and channel count, so the store serves exactly the
@@ -218,14 +226,7 @@ Executor::epilogueFor(const Layer &layer)
         bn.name = layer.fused.bnName;
         bn.kind = LayerKind::BatchNorm;
         bn.attrs.inChannels = layer.attrs.outChannels;
-        int64_t full_out = 0;
-        int64_t full_in = 0;
-        if (auto fit = fullDims_.find(bn.name); fit != fullDims_.end()) {
-            full_out = fit->second.first;
-            full_in = fit->second.second;
-        }
-        const SharedLayerWeights w =
-            store_->get(seed_, bn, full_out, full_in);
+        const SharedLayerWeights w = fetch(bn);
         const int64_t c = layer.attrs.outChannels;
         vitdyn_assert(w.weight->numel() == c && w.var->numel() == c,
                       "fused BN '", bn.name, "' expects ", c,
@@ -245,7 +246,7 @@ Executor::epilogueFor(const Layer &layer)
         }
         ep.affine = true;
     }
-    return epilogues_.emplace(layer.id, std::move(ep)).first->second;
+    return ep;
 }
 
 Tensor
@@ -263,17 +264,17 @@ Executor::execute(const Layer &layer, const std::vector<Tensor *> &ins)
         return *ins.at(0);
       case LayerKind::Conv2d: {
         const SharedLayerWeights &lw = weightsFor(layer);
-        Conv2dParams p;
-        p.strideH = a.strideH;
-        p.strideW = a.strideW;
-        p.padH = a.padH;
-        p.padW = a.padW;
-        p.groups = a.groups;
-        Tensor out =
-            int8_ ? conv2dInt8(quantize(*ins.at(0)),
-                               quantize(*lw.weight), *lw.bias, p)
-                  : conv2d(*ins.at(0), *lw.weight, *lw.bias, p,
-                           Conv2dAlgo::Auto, &convWs_[layer.id]);
+        const Conv2dParams p = convParams(a);
+        const std::optional<Conv2dPlan> &plan = layers_[layer.id].convPlan;
+        Tensor out;
+        if (int8_)
+            out = conv2dInt8(quantize(*ins.at(0)),
+                             quantize(unpackConvWeight(*lw.weight)),
+                             *lw.bias, p);
+        else if (plan)
+            out = conv2dPacked(*ins.at(0), *lw.weight, *lw.bias, p, *plan);
+        else
+            out = conv2dPacked(*ins.at(0), *lw.weight, *lw.bias, p);
         if (layer.fused.any()) {
             // Pass-framework fusion: the conv arithmetic above is
             // untouched; BN scale/shift and the activation run as one

@@ -20,7 +20,9 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "graph/graph.hh"
 #include "graph/weight_store.hh"
@@ -117,9 +119,9 @@ class Executor
      * Configure measured conv-plan autotuning. When enabled,
      * warmupWeights() asks the process-wide ConvPlanCache for the
      * tuned plan of every conv layer's shape (measuring unseen shapes
-     * once) and installs the winners in the per-layer workspaces;
-     * run() then executes those plans instead of the static Auto
-     * heuristic. Disabled executors behave exactly as before.
+     * once) and keeps each layer's winner; run() then executes those
+     * plans instead of the static Auto heuristic. Disabled executors
+     * behave exactly as before.
      */
     void setConvAutotune(const ConvAutotuneOptions &options)
     {
@@ -194,8 +196,9 @@ class Executor
      * injection point. Copy-on-write: the shared store tensor is
      * cloned into executor-local storage before mutation, so weight
      * damage never leaks to other executors sharing the store. A
-     * Linear weight reaches @p fn in its [out, in] form and is packed
-     * again afterwards, so @p fn sees the same layout for every kind.
+     * Linear weight reaches @p fn in its [out, in] form and a Conv2d
+     * weight in KCRS, each packed again afterwards, so @p fn sees the
+     * documented layout (tensor/ops.hh) whatever the store holds.
      * Returns false when the layer does not exist or carries no
      * weights.
      */
@@ -205,6 +208,10 @@ class Executor
   private:
     /** Fetch (and cache) the shared weight views for a layer. */
     const SharedLayerWeights &weightsFor(const Layer &layer);
+
+    /** The store's weights for @p layer under its registered full
+     *  dims (uncached). */
+    SharedLayerWeights fetch(const Layer &layer) const;
 
     /**
      * Precomputed per-channel scale/shift of a conv layer's fused
@@ -237,7 +244,7 @@ class Executor
     /** Append @p tensor's health to healthReport_. */
     void checkHealth(const Layer &layer, const Tensor &tensor);
 
-    /** Install tuned plans for every conv layer (warmup helper). */
+    /** Tune the plan of every conv layer (warmup helper). */
     void tuneConvPlans();
 
     const Graph &graph_;
@@ -252,15 +259,19 @@ class Executor
     HealthReport healthReport_;
     PostLayerHook postHook_;
     std::map<std::string, std::pair<int64_t, int64_t>> fullDims_;
-    std::map<int, SharedLayerWeights> cache_;
-    std::map<int, ConvEpilogue> epilogues_;
-    /**
-     * Per-conv-layer im2col/GEMM scratch, reused across run() calls
-     * (frames). Keyed by layer id, so a config switch — which builds a
-     * new graph via surgery and a new Executor — starts clean;
-     * mutateWeights invalidates the affected layer's cached packing.
-     */
-    std::map<int, Conv2dWorkspace> convWs_;
+
+    /** What the executor keeps for one layer across runs. */
+    struct LayerState
+    {
+        /** The store's views (or a mutated copy); null until fetched. */
+        SharedLayerWeights weights;
+        std::optional<ConvEpilogue> epilogue;
+        /** Autotuned conv plan; unset runs the static Auto heuristic. */
+        std::optional<Conv2dPlan> convPlan;
+    };
+
+    /** Indexed by layer id, sized at construction. */
+    std::vector<LayerState> layers_;
 };
 
 } // namespace vitdyn

@@ -26,21 +26,6 @@ hashName(const std::string &name)
     return h;
 }
 
-/** Slice the leading [out, in] block of a rank-4 KCRS weight tensor. */
-Tensor
-sliceConvWeight(const Tensor &full, int64_t k, int64_t c)
-{
-    const int64_t r = full.dim(2);
-    const int64_t s = full.dim(3);
-    Tensor out({k, c, r, s});
-    for (int64_t kk = 0; kk < k; ++kk)
-        for (int64_t cc = 0; cc < c; ++cc)
-            for (int64_t rr = 0; rr < r; ++rr)
-                for (int64_t ss = 0; ss < s; ++ss)
-                    out.at4(kk, cc, rr, ss) = full.at4(kk, cc, rr, ss);
-    return out;
-}
-
 /** Slice the first @p n entries of a rank-1 tensor. */
 Tensor
 sliceVector(const Tensor &full, int64_t n)
@@ -115,10 +100,9 @@ WeightStore::synthesizeFull(const FullKey &key)
 
     switch (static_cast<LayerKind>(key.kind)) {
       case LayerKind::Conv2d: {
-        lw.weight = share(
-            Tensor::heInit({key.fullOut, key.fullIn, key.kernelH,
-                            key.kernelW},
-                           rng, key.fullIn * key.kernelH * key.kernelW));
+        lw.weight = share(packConvWeight(Tensor::heInit(
+            {key.fullOut, key.fullIn, key.kernelH, key.kernelW}, rng,
+            key.fullIn * key.kernelH * key.kernelW)));
         if (key.hasBias)
             lw.bias =
                 share(Tensor::randn({key.fullOut}, rng, 0.0f, 0.01f));
@@ -288,20 +272,12 @@ WeightStore::get(uint64_t seed, const Layer &layer, int64_t full_out,
             emptyTensor();
         switch (layer.kind) {
           case LayerKind::Conv2d:
-            sliced.weight = out == key.fullOut && in == key.fullIn
-                                ? full.weight
-                                : share(sliceConvWeight(*full.weight,
-                                                        out, in));
-            if (full.bias->numel() > 0)
-                sliced.bias = out == key.fullOut
-                                  ? full.bias
-                                  : share(sliceVector(*full.bias, out));
-            break;
           case LayerKind::Linear:
-            sliced.weight = out == key.fullOut && in == key.fullIn
-                                ? full.weight
-                                : share(sliceLinearWeight(*full.weight,
-                                                          out, in));
+            sliced.weight =
+                out == key.fullOut && in == key.fullIn ? full.weight
+                : layer.kind == LayerKind::Conv2d
+                    ? share(sliceConvWeight(*full.weight, out, in))
+                    : share(sliceLinearWeight(*full.weight, out, in));
             if (full.bias->numel() > 0)
                 sliced.bias = out == key.fullOut
                                   ? full.bias

@@ -14,16 +14,18 @@
  * with zero copying; a pruned layer gets a cached slice shared with
  * every other executor of the same pruned dimensions.
  *
- * Linear weights are stored packed, as column panels of W^T
- * (tensor/ops.hh packLinearWeight, tensor/gemm.hh packPanels). The
- * He draw goes straight into panels, 32 [out, in] rows at a time, in
- * the historical draw order (heInitLinearWeight), and a pruned slice
- * is cut panel by panel from the packed full weight
- * (sliceLinearWeight), equal to packing the sliced [out, in] block. So each Linear entry is one resident copy (plus
- * zero padding up to a multiple of 32 features, none for
- * SegFormer-B2), and linear() runs Y = X W^T on it with no
- * transposes. Packing moves floats and rounds nothing, so outputs are
- * unchanged.
+ * The store owns the layout of the GEMM weights. Linear weights are
+ * stored packed, as column panels of W^T (tensor/ops.hh
+ * packLinearWeight, tensor/gemm.hh packPanels); conv weights in GEMM
+ * order, (K, R, S, C/g) (packConvWeight). The He draw keeps the
+ * historical order (a Linear one goes straight into panels, 32 [out,
+ * in] rows at a time: heInitLinearWeight), and a pruned slice is cut
+ * from the packed full weight (sliceLinearWeight, sliceConvWeight),
+ * equal to packing the sliced unpacked block. So each entry is one
+ * resident copy (a Linear one plus zero padding up to a multiple of 32
+ * features, none for SegFormer-B2) that linear() and conv2dPacked()
+ * run on as stored, on every execution path. Packing moves floats and
+ * rounds nothing, so outputs are unchanged.
  *
  * Contract:
  *  - **Bit-identity.** The synthesis stream (Rng seeding, generation
@@ -69,7 +71,9 @@ namespace vitdyn
  * use are empty. `weight`/`bias`/`mean`/`var` follow the Executor's
  * historical meaning (mean/var are BatchNorm running statistics),
  * except that a Linear `weight` is packLinearWeight's panel form,
- * shape (ceil(out / 32), in, 32); unpackLinearWeight gives [out, in].
+ * shape (ceil(out / 32), in, 32), and a Conv2d `weight` is
+ * packConvWeight's (K, R, S, C/g); unpackLinearWeight and
+ * unpackConvWeight give [out, in] and KCRS.
  */
 struct SharedLayerWeights
 {

@@ -8,8 +8,8 @@
  * synthetic tensors and remembers the fastest — the cudnn-frontend
  * execution-plan pattern, scaled down to two algorithms and a handful
  * of tile/ISA variants. The executor asks for tuned plans at
- * warmupWeights() and installs them in its per-layer Conv2dWorkspace,
- * so steady-state frames pay nothing.
+ * warmupWeights() and keeps one per conv layer, so steady-state frames
+ * pay nothing.
  *
  * Determinism: every candidate the tuner enumerates is bit-identical
  * to every other and to the seed scalar kernels. Timing noise can
@@ -96,8 +96,10 @@ std::vector<Conv2dPlan> enumerateConvPlans(const Conv2dShapeKey &key,
 
 /**
  * Wall-time one plan on deterministic synthetic tensors of @p key's
- * shape: one untimed warm run (builds workspace buffers), then
- * @p repeats timed runs; returns the minimum in milliseconds.
+ * shape through conv2dPacked, the weight packed before timing as a
+ * model's is in its store: one untimed warm run (grows the column
+ * scratch), then @p repeats timed runs; returns the minimum in
+ * milliseconds.
  */
 double measureConvPlan(const Conv2dShapeKey &key, const Conv2dPlan &plan,
                        int repeats);

@@ -11,6 +11,8 @@
  *  - Feature maps: NCHW.
  *  - Sequences:    (N, L, C) with L = tokens, C = embedding dim.
  *  - Conv weights: (K, C, R, S) = (out channels, in channels, kh, kw).
+ *    The model's resident copy is packed (packConvWeight) as
+ *    (K, R, S, C/groups), each output channel's taps in GEMM order.
  *  - Linear weights: (out_features, in_features), y = x W^T + b. The
  *    model's resident copy is packed (packLinearWeight): column panels
  *    of W^T, each a contiguous (in_features, 32) block of 32 output
@@ -72,65 +74,57 @@ struct Conv2dPlan
 };
 
 /**
- * Reusable scratch for conv2d's im2col + blocked-GEMM path: the column
- * matrix and the (R,S,C)-ordered repacked weights. Caching one per
- * layer (as Executor does) amortizes both across frames. All paths
- * produce bit-identical outputs — the repack exists precisely so the
- * GEMM accumulates in the direct path's r -> s -> c order.
+ * A conv weight (K, C/g, R, S) in GEMM order: shape (K, R, S, C/g),
+ * output channel k's taps at l = (r*S + s)*C/g + c, so each channel's
+ * row is the im2col GEMM's weight operand and ascending l is the
+ * direct loop's r -> s -> c accumulation order. The one resident form
+ * of a model's conv weights. For 1x1 and depthwise (C/g == 1) weights
+ * it holds the same bytes as the KCRS tensor.
  */
-struct Conv2dWorkspace
-{
-    std::vector<float> col;   ///< (R*S*C, P*Q) column matrix.
-    std::vector<float> wpack; ///< (K, R*S*C) repacked weights.
-    Shape packedFor;          ///< Weight shape wpack was built from.
+Tensor packConvWeight(const Tensor &weight);
 
-    /**
-     * Tuned execution plan for this layer, installed by the conv
-     * autotuner at executor warmup (kernels/conv_autotune.hh). When
-     * set, conv2d(..., Conv2dAlgo::Auto, this) runs the plan instead
-     * of the static heuristic. Survives invalidate(): weight mutation
-     * changes values, not shapes, so the measured choice stays valid.
-     */
-    bool hasPlan = false;
-    Conv2dPlan plan;
-
-    /** Drop the cached packing (required after in-place weight
-     *  mutation; the column matrix is rebuilt every call anyway). */
-    void invalidate()
-    {
-        wpack.clear();
-        packedFor.clear();
-    }
-};
+/** Inverse of packConvWeight: the (K, C/g, R, S) weight. */
+Tensor unpackConvWeight(const Tensor &packed);
 
 /**
- * 2-D convolution.
+ * The leading k output channels and cg input channels of a packed
+ * weight, packed: equal to packConvWeight of the sliced KCRS weight (a
+ * pruned layer's weights).
+ */
+Tensor sliceConvWeight(const Tensor &packed, int64_t k, int64_t cg);
+
+/**
+ * 2-D convolution on a weight packed by packConvWeight, under the
+ * static Auto heuristic's plan. Every plan reads the packed weight as
+ * stored and returns bit-identical results for any thread count.
  * @param input  (N, C, H, W)
- * @param weight (K, C/groups, R, S)
+ * @param packed packConvWeight(W) for W (K, C/groups, R, S)
  * @param bias   (K) or empty tensor for no bias.
  */
-Tensor conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
-              const Conv2dParams &params = {});
+Tensor conv2dPacked(const Tensor &input, const Tensor &packed,
+                    const Tensor &bias, const Conv2dParams &params);
 
 /**
- * conv2d with an explicit algorithm and an optional cross-call
- * workspace. Every algorithm returns bit-identical results for any
- * thread count. With a null @p workspace the GEMM path borrows a
- * thread-local fallback workspace (counting conv.workspace_miss)
- * instead of paying a fresh allocation per call. Auto consults the
- * workspace's tuned plan when the autotuner installed one.
+ * conv2dPacked executing a fully resolved plan (the executor's tuned
+ * plans and the autotuner's measurements). An Im2col plan for a
+ * grouped conv degrades to Direct.
  */
-Tensor conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
-              const Conv2dParams &params, Conv2dAlgo algo,
-              Conv2dWorkspace *workspace = nullptr);
+Tensor conv2dPacked(const Tensor &input, const Tensor &packed,
+                    const Tensor &bias, const Conv2dParams &params,
+                    const Conv2dPlan &plan);
 
 /**
- * conv2d executing a fully resolved plan (the autotuner's measurement
- * entry point). An Im2col plan for a grouped conv degrades to Direct.
+ * conv2d on a (K, C/groups, R, S) weight with an explicit algorithm:
+ * packs the weight, then runs the packed entry (tests and benches; a
+ * model keeps its weights packed).
  */
 Tensor conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
-              const Conv2dParams &params, const Conv2dPlan &plan,
-              Conv2dWorkspace *workspace = nullptr);
+              const Conv2dParams &params = {},
+              Conv2dAlgo algo = Conv2dAlgo::Auto);
+
+/** KCRS conv2d executing a fully resolved plan. */
+Tensor conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
+              const Conv2dParams &params, const Conv2dPlan &plan);
 
 /**
  * The static Auto heuristic's plan for this (input, weight, params)

@@ -32,8 +32,8 @@ namespace
  * each output element starts at its bias and accumulates
  * input * weight over r, then s, then c ascending, skipping taps that
  * fall outside the input. @p img is the group's first input channel,
- * @p wk the first channel's (cg, r, s) weights, @p dst its output
- * plane; channel u's weights and plane follow at u * cg*r*s and
+ * @p wk the first channel's packed (r, s, cg) weights, @p dst its
+ * output plane; channel u's weights and plane follow at u * r*s*cg and
  * u * p*q. Raw pointers with hoisted strides, and U independent
  * accumulation chains, instead of two indexed loads per multiply-add.
  */
@@ -44,8 +44,7 @@ directChannels(const float *img, const float *wk, const float *bias,
                int64_t s, int64_t p, int64_t q, const Conv2dParams &params)
 {
     const int64_t hw = h * w;
-    const int64_t rs = r * s;
-    const int64_t wstride = cg * rs;
+    const int64_t wstride = r * s * cg;
     const int64_t pq = p * q;
     for (int64_t op = 0; op < p; ++op) {
         const int64_t ih0 = op * params.strideH - params.padH;
@@ -63,11 +62,11 @@ directChannels(const float *img, const float *wk, const float *bias,
                     if (iw < 0 || iw >= w)
                         continue;
                     const float *xp = img + ih * w + iw;
-                    const float *wp = wk + rr * s + ss;
+                    const float *wp = wk + (rr * s + ss) * cg;
                     for (int64_t cc = 0; cc < cg; ++cc) {
                         const float xv = xp[cc * hw];
                         for (int u = 0; u < U; ++u)
-                            acc[u] += xv * wp[u * wstride + cc * rs];
+                            acc[u] += xv * wp[u * wstride + cc];
                     }
                 }
             }
@@ -93,9 +92,9 @@ conv2dDirectSlice(const Tensor &input, const Tensor &weight,
     const int64_t h = input.dim(2);
     const int64_t w = input.dim(3);
     const int64_t k = weight.dim(0);
-    const int64_t cg = weight.dim(1);
-    const int64_t r = weight.dim(2);
-    const int64_t s = weight.dim(3);
+    const int64_t r = weight.dim(1);
+    const int64_t s = weight.dim(2);
+    const int64_t cg = weight.dim(3);
     const int64_t p = out.dim(2);
     const int64_t q = out.dim(3);
     const int64_t kpg = k / params.groups;
@@ -144,8 +143,8 @@ conv2dDepthwiseSlice(const Tensor &input, const Tensor &weight,
     const int64_t h = input.dim(2);
     const int64_t w = input.dim(3);
     const int64_t k = weight.dim(0);
-    const int64_t r = weight.dim(2);
-    const int64_t s = weight.dim(3);
+    const int64_t r = weight.dim(1);
+    const int64_t s = weight.dim(2);
     const int64_t p = out.dim(2);
     const int64_t q = out.dim(3);
     const int64_t kpg = k / params.groups;
@@ -168,24 +167,26 @@ conv2dDepthwiseSlice(const Tensor &input, const Tensor &weight,
 
 /**
  * Im2col + blocked GEMM path (groups == 1). The column matrix is
- * (R*S*C, P*Q) with row index l = (r*S + s)*C + c — ascending l is the
- * direct path's r -> s -> c accumulation order, and padded taps become
- * explicit zeros (acc + 0*w == acc), so the result is bit-identical to
- * conv2dDirectSlice. The 1x1 stride-1 unpadded case skips the column
- * copy entirely: the (C, H*W) image block already is the matrix.
+ * (R*S*C, P*Q) with row index l = (r*S + s)*C + c, the packed weight's
+ * order, so each packed output channel is a GEMM weight row as stored.
+ * Ascending l is the direct path's r -> s -> c accumulation order, and
+ * padded taps become explicit zeros (acc + 0*w == acc), so the result
+ * is bit-identical to conv2dDirectSlice. The 1x1 stride-1 unpadded
+ * case skips the column copy entirely: the (C, H*W) image block
+ * already is the matrix.
  */
 void
 conv2dIm2col(const Tensor &input, const Tensor &weight, const Tensor &bias,
              const Conv2dParams &params, const Conv2dPlan &plan,
-             Conv2dWorkspace &ws, Tensor &out)
+             Tensor &out)
 {
     const int64_t n = input.dim(0);
     const int64_t c = input.dim(1);
     const int64_t h = input.dim(2);
     const int64_t w = input.dim(3);
     const int64_t k = weight.dim(0);
-    const int64_t r = weight.dim(2);
-    const int64_t s = weight.dim(3);
+    const int64_t r = weight.dim(1);
+    const int64_t s = weight.dim(2);
     const int64_t p = out.dim(2);
     const int64_t q = out.dim(3);
     const int64_t pq = p * q;
@@ -194,35 +195,18 @@ conv2dIm2col(const Tensor &input, const Tensor &weight, const Tensor &bias,
     const bool input_is_col = r == 1 && s == 1 && params.strideH == 1 &&
                               params.strideW == 1 && params.padH == 0 &&
                               params.padW == 0;
-
-    // 1x1 kernels are already (K, C)-contiguous in r->s->c order;
-    // larger kernels are repacked once per weight tensor.
-    const float *wp = weight.data();
-    if (r != 1 || s != 1) {
-        if (ws.packedFor != weight.shape()) {
-            ws.wpack.resize(static_cast<size_t>(k * len));
-            float *pack = ws.wpack.data();
-            parallelFor(0, k, grainForFlops(len),
-                        [&](int64_t k0, int64_t k1) {
-                for (int64_t ok = k0; ok < k1; ++ok)
-                    for (int64_t rr = 0; rr < r; ++rr)
-                        for (int64_t ss = 0; ss < s; ++ss)
-                            for (int64_t cc = 0; cc < c; ++cc)
-                                pack[ok * len + (rr * s + ss) * c + cc] =
-                                    weight.at4(ok, cc, rr, ss);
-            });
-            ws.packedFor = weight.shape();
-        }
-        wp = ws.wpack.data();
-    }
+    // Grow-only column scratch of the calling thread, which holds it
+    // for the whole call: parallelFor joins before returning, and a
+    // conv nested on a pool worker runs inline on that worker.
+    thread_local std::vector<float> scratch;
 
     for (int64_t nn = 0; nn < n; ++nn) {
         const float *col;
         if (input_is_col) {
             col = input.data() + nn * c * h * w;
         } else {
-            ws.col.resize(static_cast<size_t>(len * pq));
-            float *cm = ws.col.data();
+            scratch.resize(static_cast<size_t>(len * pq));
+            float *cm = scratch.data();
             parallelFor(0, len, grainForFlops(pq),
                         [&](int64_t l0, int64_t l1) {
                 for (int64_t l = l0; l < l1; ++l) {
@@ -250,25 +234,72 @@ conv2dIm2col(const Tensor &input, const Tensor &weight, const Tensor &bias,
                     }
                 }
             });
-            col = ws.col.data();
+            col = scratch.data();
         }
 
         // out_n(K, PQ) = W(K, len) x col(len, PQ) + bias through the
         // shared GEMM driver and the plan's tile microkernel.
         gemm(kernelsFor(plan.isa).gemmTileExact, {k, pq, len, len, pq, pq},
-             {wp, col, bias.numel() ? bias.data() : nullptr,
+             {weight.data(), col, bias.numel() ? bias.data() : nullptr,
               out.data() + nn * k * pq},
              plan.colBlock);
     }
 }
 
+/** Each of @p blocks (rows, cols) matrices, transposed to (cols, rows). */
+void
+transposeBlocks(const float *src, int64_t blocks, int64_t rows,
+                int64_t cols, float *dst)
+{
+    for (int64_t b = 0; b < blocks; ++b, src += rows * cols,
+                 dst += rows * cols)
+        for (int64_t i = 0; i < rows; ++i)
+            for (int64_t j = 0; j < cols; ++j)
+                dst[j * rows + i] = src[i * cols + j];
+}
+
 } // namespace
 
 Tensor
-conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
-       const Conv2dParams &params)
+packConvWeight(const Tensor &weight)
 {
-    return conv2d(input, weight, bias, params, Conv2dAlgo::Auto, nullptr);
+    vitdyn_assert(weight.rank() == 4, "conv2d weight must be KCRS, got ",
+                  shapeToString(weight.shape()));
+    const int64_t k = weight.dim(0);
+    const int64_t cg = weight.dim(1);
+    const int64_t r = weight.dim(2);
+    const int64_t s = weight.dim(3);
+    Tensor packed({k, r, s, cg});
+    transposeBlocks(weight.data(), k, cg, r * s, packed.data());
+    return packed;
+}
+
+Tensor
+unpackConvWeight(const Tensor &packed)
+{
+    vitdyn_assert(packed.rank() == 4, "packed conv weight must be KRSC");
+    const int64_t k = packed.dim(0);
+    const int64_t r = packed.dim(1);
+    const int64_t s = packed.dim(2);
+    const int64_t cg = packed.dim(3);
+    Tensor weight({k, cg, r, s});
+    transposeBlocks(packed.data(), k, r * s, cg, weight.data());
+    return weight;
+}
+
+Tensor
+sliceConvWeight(const Tensor &packed, int64_t k, int64_t cg)
+{
+    vitdyn_assert(packed.rank() == 4 && packed.dim(0) >= k &&
+                      packed.dim(3) >= cg,
+                  "packed conv weight ", shapeToString(packed.shape()),
+                  " has no ", k, " x ", cg, " block");
+    const int64_t full_cg = packed.dim(3);
+    Tensor out({k, packed.dim(1), packed.dim(2), cg});
+    for (int64_t row = 0; row < k * packed.dim(1) * packed.dim(2); ++row)
+        std::copy_n(packed.data() + row * full_cg, cg,
+                    out.data() + row * cg);
+    return out;
 }
 
 Conv2dPlan
@@ -308,53 +339,48 @@ conv2dAutoPlan(const Shape &input_shape, const Shape &weight_shape,
 
 Tensor
 conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
-       const Conv2dParams &params, Conv2dAlgo algo,
-       Conv2dWorkspace *workspace)
+       const Conv2dParams &params, Conv2dAlgo algo)
 {
-    vitdyn_assert(input.rank() == 4, "conv2d input must be NCHW, got ",
-                  shapeToString(input.shape()));
-    vitdyn_assert(weight.rank() == 4, "conv2d weight must be KCRS, got ",
-                  shapeToString(weight.shape()));
-
-    Conv2dPlan plan;
-    switch (algo) {
-      case Conv2dAlgo::Direct:
-        plan.algo = Conv2dAlgo::Direct;
-        plan.isa = activeIsa();
-        break;
-      case Conv2dAlgo::Im2col:
-        plan.algo = Conv2dAlgo::Im2col;
-        plan.isa = activeIsa();
-        break;
-      case Conv2dAlgo::Auto:
-        if (workspace != nullptr && workspace->hasPlan)
-            plan = workspace->plan;
-        else
-            plan = conv2dAutoPlan(input.shape(), weight.shape(), params);
-        break;
-    }
-    return conv2d(input, weight, bias, params, plan, workspace);
+    Conv2dPlan plan = conv2dAutoPlan(input.shape(), weight.shape(), params);
+    if (algo != Conv2dAlgo::Auto)
+        plan.algo = algo;
+    return conv2d(input, weight, bias, params, plan);
 }
 
 Tensor
 conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
-       const Conv2dParams &params, const Conv2dPlan &plan,
-       Conv2dWorkspace *workspace)
+       const Conv2dParams &params, const Conv2dPlan &plan)
+{
+    return conv2dPacked(input, packConvWeight(weight), bias, params, plan);
+}
+
+Tensor
+conv2dPacked(const Tensor &input, const Tensor &packed, const Tensor &bias,
+             const Conv2dParams &params)
+{
+    return conv2dPacked(input, packed, bias, params,
+                        conv2dAutoPlan(input.shape(),
+                                       {packed.dim(0), packed.dim(3),
+                                        packed.dim(1), packed.dim(2)},
+                                       params));
+}
+
+Tensor
+conv2dPacked(const Tensor &input, const Tensor &packed, const Tensor &bias,
+             const Conv2dParams &params, const Conv2dPlan &plan)
 {
     vitdyn_assert(input.rank() == 4, "conv2d input must be NCHW, got ",
                   shapeToString(input.shape()));
-    vitdyn_assert(weight.rank() == 4, "conv2d weight must be KCRS, got ",
-                  shapeToString(weight.shape()));
 
     const int64_t n = input.dim(0);
     const int64_t c = input.dim(1);
     const int64_t h = input.dim(2);
     const int64_t w = input.dim(3);
 
-    const int64_t k = weight.dim(0);
-    const int64_t cg = weight.dim(1);
-    const int64_t r = weight.dim(2);
-    const int64_t s = weight.dim(3);
+    const int64_t k = packed.dim(0);
+    const int64_t r = packed.dim(1);
+    const int64_t s = packed.dim(2);
+    const int64_t cg = packed.dim(3);
 
     const int64_t groups = params.groups;
     vitdyn_assert(groups >= 1 && c % groups == 0 && k % groups == 0,
@@ -385,34 +411,18 @@ conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
 
     const int64_t flops_per_nk = 2 * p * q * r * s * cg;
     if (use_gemm) {
-        Conv2dWorkspace *ws = workspace;
-        if (ws == nullptr) {
-            // Workspace-less callers (benches, tests, analysis cost
-            // probes) borrow a thread-local fallback so the column
-            // buffer's capacity survives across calls instead of
-            // being reallocated every time. The cached weight packing
-            // is dropped each call: a stale pack for a *different*
-            // weight tensor of the same shape would silently corrupt
-            // results, and packedFor alone cannot tell them apart.
-            static Counter &misses = MetricsRegistry::instance().counter(
-                "conv.workspace_miss");
-            misses.add();
-            thread_local Conv2dWorkspace fallback;
-            fallback.invalidate();
-            ws = &fallback;
-        }
-        conv2dIm2col(input, weight, bias, params, plan, *ws, out);
+        conv2dIm2col(input, packed, bias, params, plan, out);
     } else if (cg == 1) {
         const Microkernels &mk = kernelsFor(plan.isa);
         parallelFor(0, n * k, grainForFlops(flops_per_nk),
                     [&](int64_t nk0, int64_t nk1) {
-            conv2dDepthwiseSlice(input, weight, bias, params, mk, out, nk0,
+            conv2dDepthwiseSlice(input, packed, bias, params, mk, out, nk0,
                                  nk1);
         });
     } else {
         parallelFor(0, n * k, grainForFlops(flops_per_nk),
                     [&](int64_t nk0, int64_t nk1) {
-            conv2dDirectSlice(input, weight, bias, params, out, nk0,
+            conv2dDirectSlice(input, packed, bias, params, out, nk0,
                               nk1);
         });
     }

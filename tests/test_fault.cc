@@ -372,6 +372,72 @@ TEST(ExecutorHealth, LinearWeightFaultShowsOnTheNextFrame)
               0);
 }
 
+TEST(ExecutorHealth, ConvWeightFaultShowsOnTheNextFrame)
+{
+    // The store holds a conv weight in GEMM order and mutateWeights
+    // hands it out in KCRS. Damaging KCRS element [k][c][r][s] of a
+    // 3x3 conv over several channels must move only output channel k,
+    // at exactly the pixels whose (r, s) tap falls inside the input, by
+    // the damage times that tap's input from channel c: a wrong unpack
+    // or pack index, or a stale copy, moves something else. Auto runs
+    // the 7x7 image on the direct path and the 12x12 one on im2col.
+    constexpr int64_t c_in = 5, k_out = 6;
+    constexpr int64_t hit_k = 2, hit_c = 3, hit_r = 0, hit_s = 2;
+    for (int64_t side : {7, 12}) {
+        Graph g("conv_fault");
+        int in = g.addInput("x", {1, c_in, side, side});
+        Layer conv;
+        conv.name = "conv_b";
+        conv.kind = LayerKind::Conv2d;
+        conv.attrs.inChannels = c_in;
+        conv.attrs.outChannels = k_out;
+        conv.attrs.kernelH = conv.attrs.kernelW = 3;
+        conv.attrs.padH = conv.attrs.padW = 1;
+        conv.inputs = {in};
+        g.markOutput(g.addLayer(std::move(conv)));
+
+        Executor exec(g, 1);
+        Rng rng(5);
+        Tensor x = Tensor::randn({1, c_in, side, side}, rng);
+        Tensor clean = exec.runSimple(x);
+        float delta = 0.0f;
+        ASSERT_TRUE(exec.mutateWeights("conv_b", [&](Tensor &w) {
+            ASSERT_EQ(w.shape(), (Shape{k_out, c_in, 3, 3}));
+            delta = 1000.0f - w.at4(hit_k, hit_c, hit_r, hit_s);
+            w.at4(hit_k, hit_c, hit_r, hit_s) = 1000.0f;
+        }));
+        Tensor faulty = exec.runSimple(x);
+
+        ASSERT_EQ(faulty.shape(), clean.shape());
+        for (int64_t k = 0; k < k_out; ++k)
+            for (int64_t op = 0; op < side; ++op)
+                for (int64_t oq = 0; oq < side; ++oq) {
+                    const float a = clean.at4(0, k, op, oq);
+                    const float b = faulty.at4(0, k, op, oq);
+                    const int64_t ih = op - 1 + hit_r;
+                    const int64_t iw = oq - 1 + hit_s;
+                    if (k == hit_k && ih >= 0 && ih < side && iw >= 0 &&
+                        iw < side) {
+                        const float want = delta * x.at4(0, hit_c, ih, iw);
+                        EXPECT_NEAR(b - a, want,
+                                    1e-3f * std::fabs(want) + 1e-3f)
+                            << "side " << side << " pixel " << op << ","
+                            << oq;
+                    } else {
+                        EXPECT_EQ(std::memcmp(&a, &b, sizeof(float)), 0)
+                            << "side " << side << " channel " << k
+                            << " pixel " << op << "," << oq;
+                    }
+                }
+        // The fault persists: a second frame repeats the faulty output.
+        Tensor again = exec.runSimple(x);
+        EXPECT_EQ(std::memcmp(again.data(), faulty.data(),
+                              sizeof(float) * faulty.numel()),
+                  0)
+            << "side " << side;
+    }
+}
+
 // --- Engine quarantine / fallback / recovery ----------------------
 
 /** A small SegFormer so engine tests execute real tensors quickly. */

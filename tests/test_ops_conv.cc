@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "parity.hh"
@@ -35,6 +36,54 @@ TEST(ConvOutDim, FloorsNegativeNumerators)
     EXPECT_EQ(convOutDim(2, 7, 2, 1), -1);
     // Exactly-fitting kernels still give one output.
     EXPECT_EQ(convOutDim(3, 3, 2, 0), 1);
+}
+
+TEST(Conv, PackUnpackRoundTrip)
+{
+    // KCRS -> (K, R, S, C/g) -> KCRS is the identity, each element
+    // lands at l = (r*S + s)*C/g + c of its channel's row, and 1x1 and
+    // C/g == 1 weights keep their bytes.
+    Rng rng(7);
+    for (const Shape &shape :
+         {Shape{6, 5, 3, 3}, Shape{4, 3, 3, 5}, Shape{8, 12, 1, 1},
+          Shape{16, 1, 3, 3}, Shape{2, 1, 1, 1}}) {
+        const Tensor w = Tensor::randn(shape, rng);
+        const Tensor packed = packConvWeight(w);
+        const int64_t k = shape[0], cg = shape[1], r = shape[2],
+                      s = shape[3];
+        ASSERT_EQ(packed.shape(), (Shape{k, r, s, cg}));
+        for (int64_t ok = 0; ok < k; ++ok)
+            for (int64_t c = 0; c < cg; ++c)
+                for (int64_t rr = 0; rr < r; ++rr)
+                    for (int64_t ss = 0; ss < s; ++ss) {
+                        const int64_t l = (rr * s + ss) * cg + c;
+                        ASSERT_EQ(packed[ok * r * s * cg + l],
+                                  w.at4(ok, c, rr, ss))
+                            << shapeToString(shape);
+                    }
+        EXPECT_TRUE(bitIdentical(w, unpackConvWeight(packed)))
+            << shapeToString(shape);
+        if (cg == 1 || r * s == 1) {
+            EXPECT_EQ(std::memcmp(w.data(), packed.data(),
+                                  sizeof(float) * w.numel()),
+                      0)
+                << shapeToString(shape);
+        }
+    }
+}
+
+TEST(Conv, SliceEqualsPackingTheSlicedWeight)
+{
+    Rng rng(23);
+    const Tensor kcrs = Tensor::randn({7, 4, 3, 2}, rng);
+    Tensor sliced({5, 3, 3, 2});
+    for (int64_t k = 0; k < 5; ++k)
+        for (int64_t c = 0; c < 3; ++c)
+            for (int64_t r = 0; r < 3; ++r)
+                for (int64_t s = 0; s < 2; ++s)
+                    sliced.at4(k, c, r, s) = kcrs.at4(k, c, r, s);
+    EXPECT_TRUE(bitIdentical(packConvWeight(sliced),
+                             sliceConvWeight(packConvWeight(kcrs), 5, 3)));
 }
 
 TEST(Conv2d, CollapsedOutputPanics)
@@ -224,10 +273,9 @@ TEST(Conv2d, ThreadedAndIm2colBitIdenticalToSequential)
     {
         PoolSizeGuard guard(8);
         par = conv2d(x, w, b, p, Conv2dAlgo::Direct);
-        Conv2dWorkspace ws;
-        gemm = conv2d(x, w, b, p, Conv2dAlgo::Im2col, &ws);
-        // Reuse of a warm workspace must not change results.
-        Tensor gemm2 = conv2d(x, w, b, p, Conv2dAlgo::Im2col, &ws);
+        gemm = conv2d(x, w, b, p, Conv2dAlgo::Im2col);
+        // Reuse of the warm column scratch must not change results.
+        Tensor gemm2 = conv2d(x, w, b, p, Conv2dAlgo::Im2col);
         ASSERT_EQ(gemm.shape(), gemm2.shape());
         EXPECT_EQ(std::memcmp(gemm.data(), gemm2.data(),
                               sizeof(float) * gemm.numel()),
@@ -297,7 +345,57 @@ TEST(Conv2d, Im2colBitIdenticalAcrossShapes)
                               sizeof(float) * direct.numel()),
                   0)
             << "case " << i << " im2col mismatch";
+        EXPECT_TRUE(bitIdentical(
+            direct, conv2dPacked(x, packConvWeight(w), b, tc.p)))
+            << "case " << i << " packed auto mismatch";
     }
+}
+
+TEST(Conv2d, ConcurrentIm2colCallsKeepTheirOwnScratch)
+{
+    // Two threads run im2col convs of different shapes at once, on the
+    // shared pool: each calling thread's column scratch is its own, so
+    // every result is memcmp-equal to a serial run.
+    PoolSizeGuard guard(4);
+    Rng rng(29);
+    struct Job
+    {
+        Tensor x, w, b;
+        Conv2dParams p;
+        Tensor want;
+    };
+    Job jobs[2];
+    jobs[0] = {Tensor::randn({1, 16, 20, 20}, rng),
+               packConvWeight(Tensor::randn({24, 16, 3, 3}, rng)),
+               Tensor::randn({24}, rng), {}, {}};
+    jobs[0].p.padH = jobs[0].p.padW = 1;
+    jobs[1] = {Tensor::randn({2, 6, 33, 31}, rng),
+               packConvWeight(Tensor::randn({10, 6, 5, 5}, rng)),
+               Tensor::randn({10}, rng), {}, {}};
+    jobs[1].p.strideH = jobs[1].p.strideW = 2;
+    Conv2dPlan plan;
+    plan.algo = Conv2dAlgo::Im2col;
+    plan.isa = activeIsa();
+    for (Job &job : jobs)
+        job.want = conv2dPacked(job.x, job.w, job.b, job.p, plan);
+
+    bool same[2] = {true, true};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t)
+        threads.emplace_back([&, t] {
+            const Job &job = jobs[t];
+            for (int rep = 0; rep < 8; ++rep) {
+                const Tensor y =
+                    conv2dPacked(job.x, job.w, job.b, job.p, plan);
+                same[t] = same[t] &&
+                          std::memcmp(y.data(), job.want.data(),
+                                      sizeof(float) * y.numel()) == 0;
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_TRUE(same[0]);
+    EXPECT_TRUE(same[1]);
 }
 
 TEST(Conv2d, GroupedStridedPaddedThreadedParity)
@@ -628,10 +726,16 @@ TEST_P(DepthwiseParityTest, MatchesDirectLoop)
         Tensor w = Tensor::randn({c * tc.mult, 1, tc.kh, tc.kw}, rng);
         Tensor b = tc.bias ? Tensor::randn({c * tc.mult}, rng) : Tensor{};
         const Tensor want = directConvOracle(x, w, b, p);
-        for (const Conv2dPlan &plan : directPlans())
+        const Tensor packed = packConvWeight(w);
+        for (const Conv2dPlan &plan : directPlans()) {
             EXPECT_TRUE(bitIdentical(want, conv2d(x, w, b, p, plan)))
                 << "x " << shapeToString(tc.x) << " kernel " << tc.kh
                 << "x" << tc.kw << " isa " << isaName(plan.isa);
+            EXPECT_TRUE(
+                bitIdentical(want, conv2dPacked(x, packed, b, p, plan)))
+                << "packed, x " << shapeToString(tc.x) << " isa "
+                << isaName(plan.isa);
+        }
         EXPECT_TRUE(bitIdentical(want, conv2d(x, w, b, p)))
             << "auto, x " << shapeToString(tc.x);
 
@@ -757,10 +861,16 @@ TEST_P(DirectConvParityTest, MatchesDirectLoop)
         Tensor w = Tensor::randn(tc.w, rng);
         Tensor b = Tensor::randn({tc.w[0]}, rng);
         const Tensor want = directConvOracle(x, w, b, p);
-        for (const Conv2dPlan &plan : directPlans())
+        const Tensor packed = packConvWeight(w);
+        for (const Conv2dPlan &plan : directPlans()) {
             EXPECT_TRUE(bitIdentical(want, conv2d(x, w, b, p, plan)))
                 << "x " << shapeToString(tc.x) << " w "
                 << shapeToString(tc.w) << " isa " << isaName(plan.isa);
+            EXPECT_TRUE(
+                bitIdentical(want, conv2dPacked(x, packed, b, p, plan)))
+                << "packed, x " << shapeToString(tc.x) << " w "
+                << shapeToString(tc.w) << " isa " << isaName(plan.isa);
+        }
         EXPECT_TRUE(bitIdentical(directConvOracle(x, w, Tensor{}, p),
                                  conv2d(x, w, Tensor{}, p,
                                         Conv2dAlgo::Direct)))

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -145,6 +146,49 @@ TEST(WeightStore, PrunedSliceIsCachedAndMatchesFullPrefix)
     WeightStore::Stats stats = store.stats();
     EXPECT_EQ(stats.fullEntries, 1u);
     EXPECT_EQ(stats.sliceEntries, 1u);
+}
+
+/** The store's per-layer weight seed: seed ^ FNV-1a(layer name). */
+uint64_t
+layerSeed(uint64_t seed, const std::string &name)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (char c : name) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return seed ^ h;
+}
+
+TEST(WeightStore, ConvEntryHoldsOneCopyInGemmOrder)
+{
+    // conv1 is 3x3 over 3 channels. Its entry is packing the KCRS He
+    // draw, bit for bit, and is the only resident copy; a slice pruned
+    // in both K and C is packing the leading KCRS block.
+    Graph g = tinyMixedGraph();
+    Graph pruned = tinyMixedGraph();
+    Layer &pruned_conv = pruned.layer(pruned.findLayer("conv1"));
+    pruned_conv.attrs.outChannels = 5;
+    pruned_conv.attrs.inChannels = 2;
+
+    WeightStore store;
+    SharedLayerWeights full =
+        store.get(7, g.layer(g.findLayer("conv1")), 8, 3);
+    Rng rng(layerSeed(7, "conv1"));
+    const Tensor kcrs = Tensor::heInit({8, 3, 3, 3}, rng, 3 * 3 * 3);
+    const Tensor bias = Tensor::randn({8}, rng, 0.0f, 0.01f);
+    expectBitIdentical(*full.weight, packConvWeight(kcrs));
+    expectBitIdentical(*full.bias, bias);
+    EXPECT_EQ(store.stats().bytes, (8 * 3 * 3 * 3 + 8) * sizeof(float));
+
+    SharedLayerWeights slice = store.get(7, pruned_conv, 8, 3);
+    Tensor sliced({5, 2, 3, 3});
+    for (int64_t k = 0; k < 5; ++k)
+        for (int64_t c = 0; c < 2; ++c)
+            for (int64_t r = 0; r < 3; ++r)
+                for (int64_t s = 0; s < 3; ++s)
+                    sliced.at4(k, c, r, s) = kcrs.at4(k, c, r, s);
+    expectBitIdentical(*slice.weight, packConvWeight(sliced));
 }
 
 TEST(WeightStore, LinearEntryHoldsOnePackedCopy)
